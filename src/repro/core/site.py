@@ -138,6 +138,10 @@ class DvPSite:
 
         self.alive = True
         self.active: dict[str, Transaction] = {}
+        #: Active transactions that every Vm delivery must re-check
+        #: (see Transaction.wakes_on_delivery); all others wake only
+        #: when a Vm lands in one of their own fragments.
+        self._delivery_watchers: dict[str, Transaction] = {}
         self.crash_count = 0
         #: Transactions whose volatile state a crash destroyed — their
         #: clients never hear back. The chaos progress oracle uses this
@@ -186,6 +190,10 @@ class DvPSite:
     def peers(self) -> list[str]:
         """Every other site (all sites hold fragments of all items)."""
         return [site for site in self.network.sites if site != self.name]
+
+    def peer_count(self) -> int:
+        """``len(self.peers())`` without building the list."""
+        return self.network.site_count - 1
 
     def current_epoch(self) -> int:
         """The directory epoch placement is currently resolved against."""
@@ -237,7 +245,16 @@ class DvPSite:
     def transaction_finished(self, txn: Transaction) -> None:
         """Step 7 aftermath: drop it from the active set, poke waiters."""
         self.active.pop(txn.id, None)
+        self._delivery_watchers.pop(txn.id, None)
         self.after_lock_release()
+
+    def watch_deliveries(self, txn: Transaction) -> None:
+        """File *txn* after a failed sufficiency check: re-checked on
+        every Vm delivery, or only when a Vm reaches its fragments."""
+        if txn.wakes_on_delivery:
+            self._delivery_watchers[txn.id] = txn
+        else:
+            self._delivery_watchers.pop(txn.id, None)
 
     def after_lock_release(self) -> None:
         """Locks freed: pending Vm may now be acceptable."""
@@ -338,7 +355,17 @@ class DvPSite:
         self.network.send(self.name, dst, request)
 
     def _recheck_active(self) -> None:
-        for txn in list(self.active.values()):
+        """Re-check the delivery watchers, in submission order.
+
+        The order is that of ``self.active``, so a delivery that lets
+        several watchers commit logs them exactly as a sweep over every
+        active transaction would; the others' checks would all have
+        returned False.
+        """
+        if not self._delivery_watchers:
+            return
+        for txn in [txn for txn in self.active.values()
+                    if txn.id in self._delivery_watchers]:
             txn.recheck()
 
     # -- remote request handling (Rds transactions) --------------------------
@@ -413,13 +440,10 @@ class DvPSite:
             stamp_ts = self.cc.stamp_for_rds(self, request.ts, item)
             entry = self.vm.allocate_entry(request.origin, item, granted,
                                            kind, request.txn_id)
+            actions = (SetFragment(item, remainder, ts=stamp_ts),)
             lsn = self.log_append(VmCreateRecord(
-                txn_id=owner,
-                actions=(SetFragment(item, remainder, ts=stamp_ts),),
-                messages=(entry,)))
-            self.apply_actions(
-                (SetFragment(item, remainder, ts=stamp_ts),), lsn)
-            self.fragments.stamp_if_newer(item, stamp_ts)
+                txn_id=owner, actions=actions, messages=(entry,)))
+            self.apply_actions(actions, lsn)
             self.vm.register_created([entry])
             self.requests_honored += 1
         finally:
@@ -457,22 +481,20 @@ class DvPSite:
         new_value = domain.combine(self.fragments.value(item), entry.amount)
         holder = self.locks.holder(item)
         if holder is None:
+            txn = None
             ts = self.clock.next()
-            lsn = self.log_append(VmAcceptRecord(
-                src=src, channel_seq=entry.channel_seq,
-                actions=(SetFragment(item, new_value, ts=ts),),
-                txn_id=entry.txn_id))
-            self.apply_actions((SetFragment(item, new_value, ts=ts),), lsn)
-            return True
-        txn = self.active.get(holder)
-        if txn is None:
-            return False
+        else:
+            txn = self.active.get(holder)
+            if txn is None:
+                return False
+            ts = txn.ts
+        actions = (SetFragment(item, new_value, ts=ts),)
         lsn = self.log_append(VmAcceptRecord(
-            src=src, channel_seq=entry.channel_seq,
-            actions=(SetFragment(item, new_value, ts=txn.ts),),
+            src=src, channel_seq=entry.channel_seq, actions=actions,
             txn_id=entry.txn_id))
-        self.apply_actions((SetFragment(item, new_value, ts=txn.ts),), lsn)
-        txn.on_vm_absorbed(entry, src)
+        self.apply_actions(actions, lsn)
+        if txn is not None:
+            txn.on_vm_absorbed(entry, src)
         return True
 
     # -- failure injection -----------------------------------------------------
@@ -496,8 +518,9 @@ class DvPSite:
         self.downtime.append([self.sim.now, None])
         self.vm.stop()
         for txn in list(self.active.values()):
-            txn._timer.cancel()
+            txn.cancel_timer()
         self.active.clear()
+        self._delivery_watchers.clear()
         self.locks.clear()
         self.fragments.reset_timestamps()
         self.clock.reset()

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from repro.core.messages import READ_MODE, TRANSFER_MODE, DataRequest
 from repro.core.operators import BoundedDecrement, PartitionableOperator
@@ -153,30 +154,13 @@ class TransactionSpec:
     work: float = 0.0
 
     def __post_init__(self) -> None:
-        overlap = self.read_items() & self.update_items()
-        if overlap:
-            raise ValueError(
-                f"items {sorted(overlap)} are both read (full or view) "
-                "and updated; split into two transactions")
-
-    def items(self) -> set[str]:
-        """A(t): every item the transaction accesses."""
-        return self.read_items() | self.update_items()
-
-    def read_items(self) -> set[str]:
-        return self.full_read_items() | set(self.view_bounds())
-
-    def full_read_items(self) -> set[str]:
-        """Items read exactly (the fan-out protocol, no views)."""
-        return {op.item for op in self.ops if isinstance(op, ReadFullOp)}
-
-    def view_bounds(self) -> dict[str, float | None]:
-        """Item → tightest staleness bound among its ReadViewOps.
-
-        Items also read with :class:`ReadFullOp` are excluded — the
-        exact read dominates and serves both ops' values.
-        """
-        full = self.full_read_items()
+        # The item sets are derived once: a transaction asks for them
+        # at every stage (locks, cc, views, routing). Each frozenset is
+        # built by the same insertion sequence a fresh set would be, so
+        # it iterates in the same order — lock acquisition and the
+        # baselines iterate them.
+        full = frozenset(op.item for op in self.ops
+                         if isinstance(op, ReadFullOp))
         bounds: dict[str, float | None] = {}
         for op in self.ops:
             if not isinstance(op, ReadViewOp) or op.item in full:
@@ -187,18 +171,51 @@ class TransactionSpec:
             elif op.bound is not None and (prior is None
                                            or op.bound < prior):
                 bounds[op.item] = op.bound
-        return bounds
+        reads = full | frozenset(bounds)
+        updates = frozenset(self._iter_updates())
+        overlap = reads & updates
+        if overlap:
+            raise ValueError(
+                f"items {sorted(overlap)} are both read (full or view) "
+                "and updated; split into two transactions")
+        derived = {"_full_reads": full,
+                   "_view_bounds": MappingProxyType(bounds),
+                   "_reads": reads,
+                   "_updates": updates,
+                   "_items": reads | updates}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
-    def update_items(self) -> set[str]:
-        found: set[str] = set()
+    def items(self) -> frozenset[str]:
+        """A(t): every item the transaction accesses."""
+        return self._items
+
+    def read_items(self) -> frozenset[str]:
+        return self._reads
+
+    def full_read_items(self) -> frozenset[str]:
+        """Items read exactly (the fan-out protocol, no views)."""
+        return self._full_reads
+
+    def view_bounds(self) -> Mapping[str, float | None]:
+        """Item → tightest staleness bound among its ReadViewOps.
+
+        Items also read with :class:`ReadFullOp` are excluded — the
+        exact read dominates and serves both ops' values.
+        """
+        return self._view_bounds
+
+    def update_items(self) -> frozenset[str]:
+        return self._updates
+
+    def _iter_updates(self) -> Iterator[str]:
         for op in self.ops:
             if isinstance(op, (IncrementOp, DecrementOp, ApplyOp,
                                ReadLocalOp)):
-                found.add(op.item)
+                yield op.item
             elif isinstance(op, TransferOp):
-                found.add(op.src_item)
-                found.add(op.dst_item)
-        return found
+                yield op.src_item
+                yield op.dst_item
 
     def needs(self, domain_of) -> dict[str, Any]:
         """Per-item value the local fragment must cover before commit."""
@@ -282,8 +299,12 @@ class Transaction:
         self.state = _State.NEW
         self.submitted_at = site.sim.now
         self.requests_sent = 0
-        self._timer = Timer(site.sim, self._on_timeout,
-                            label=f"txn-timeout:{self.id}")
+        #: Built on first arm: certificate fast-path txns never arm it.
+        self._timer: Timer | None = None
+        #: Read item → peers whose drain answered THIS transaction. A
+        #: set only to drop repeat drains (retry rounds): responders are
+        #: always a subset of peers(), which never shrinks, so the
+        #: sufficiency test compares sizes.
         self._read_responders: dict[str, set[str]] = {
             item: set() for item in spec.full_read_items()}
         #: View items still on the O(1) path (item → staleness bound).
@@ -293,6 +314,12 @@ class Transaction:
         self._view_certs: dict[str, Any] = {}
         self._view_fallbacks: list[str] = []
         self._needs = spec.needs(site.fragments.domain)
+        #: Needed items whose fragment does not yet cover the need. Set
+        #: when the locks are granted, then kept by on_vm_absorbed.
+        self._uncovered: set[str] = set()
+        #: Whether the last failed check stopped on an exact-read item
+        #: whose own outgoing Vm is still outstanding (an ack clears it).
+        self._ack_blocked = False
         self.result: TxnResult | None = None
         # Section 5's variation: "the requests could be re-tried a few
         # more times". The timeout budget is split into equal rounds.
@@ -309,7 +336,7 @@ class Transaction:
                                txn=self.id, label=self.spec.label))
         if self._try_view_fast_path():
             return
-        self._timer.start(self._round_length)
+        self._arm_timer()
         if self.site.cc.broadcast_at_init:
             # Conc2: all requests broadcast together at initiation.
             self._send_requests(estimate_without_locks=True)
@@ -390,6 +417,18 @@ class Transaction:
         self._resolve_views(fan=self.site.cc.broadcast_at_init)
         if not self.site.cc.broadcast_at_init:
             self._send_requests(estimate_without_locks=False)
+        # From here on every needed fragment is locked by this
+        # transaction, and a locked fragment changes value only through
+        # DvPSite._accept_vm -> on_vm_absorbed: Rds honors, rebalance,
+        # migration and hybrid deconsolidation all take the item lock
+        # first. So the uncovered set is computed once, here, and
+        # afterwards re-tested only for the item a Vm lands in; an
+        # absorbed Vm only adds value, so a covered item stays covered.
+        fragments = self.site.fragments
+        self._uncovered = {
+            item for item, need in self._needs.items()
+            if not fragments.domain(item).covers(fragments.value(item),
+                                                 need)}
         self._try_commit()
         if self.state is not _State.GATHERING:
             return
@@ -438,22 +477,48 @@ class Transaction:
                 requests=self.requests_sent - sent_before))
 
     def on_vm_absorbed(self, entry: VmEntry, src: str) -> None:
-        """A Vm was accepted into a fragment this transaction holds."""
+        """A Vm was accepted into a fragment this transaction holds.
+
+        The only event that changes a held fragment, so only
+        ``entry.item`` is re-tested; the commit attempt runs once the
+        uncovered set is empty (certificate holders attempt on every
+        absorb, since revalidation is time-dependent).
+        """
         if self.state is not _State.GATHERING:
             return
+        item = entry.item
+        if item in self._uncovered:
+            fragments = self.site.fragments
+            if fragments.domain(item).covers(fragments.value(item),
+                                             self._needs[item]):
+                self._uncovered.discard(item)
         if entry.kind == "read-drain" and entry.txn_id == self.id \
-                and entry.item in self._read_responders:
+                and item in self._read_responders:
             # Only drains answering THIS transaction's requests count: a
             # stale drain addressed to an earlier (aborted) read is
             # still absorbed as value, but proves nothing about the
             # responder's CURRENT fragment.
-            self._read_responders[entry.item].add(src)
+            self._read_responders[item].add(src)
+        if self._uncovered and not self._view_certs:
+            return
         self._try_commit()
 
     def recheck(self) -> None:
         """Re-evaluate sufficiency (e.g. an outgoing Vm got acked)."""
         if self.state is _State.GATHERING:
             self._try_commit()
+
+    @property
+    def wakes_on_delivery(self) -> bool:
+        """Must every Vm delivery at the site re-check this transaction?
+
+        True for an exact read blocked on its own outstanding Vm (only
+        an ack can clear that) and for holders of view certificates,
+        whose revalidation depends on the clock. Every other gathering
+        transaction waits for a Vm into one of its own fragments.
+        """
+        return self.state is _State.GATHERING and (
+            self._ack_blocked or bool(self._view_certs))
 
     # -- bounded-staleness view reads (docs/READS.md) ------------------------
 
@@ -520,7 +585,29 @@ class Transaction:
             else:
                 self._escalate_view(item, fan=True)
 
+    def _ready(self) -> bool:
+        """Sufficiency from the wake index: no fragment reads, and the
+        exact-read test compares responder counts with the peer count."""
+        self._ack_blocked = False
+        if self._uncovered:
+            return False
+        if not self._read_responders:
+            return True
+        peer_count = self.site.peer_count()
+        for item, responders in self._read_responders.items():
+            if len(responders) < peer_count:
+                return False
+            assert responders <= set(self.site.peers()), \
+                f"{self.id}: responders {responders} are not all peers"
+            if self.site.vm.has_outstanding(item):
+                self._ack_blocked = True
+                return False
+        return True
+
     def _sufficient(self) -> bool:
+        """The full, index-free sufficiency test :meth:`_ready` must
+        agree with: re-reads every needed fragment and compares the
+        responder sets with the current peers."""
         for item, need in self._needs.items():
             domain = self.site.fragments.domain(item)
             if not domain.covers(self.site.fragments.value(item), need):
@@ -541,13 +628,14 @@ class Transaction:
         if self.state is not _State.GATHERING:
             return
         self._revalidate_views()
-        if not self._sufficient():
+        if not self._ready():
+            self.site.watch_deliveries(self)
             return
         if self.spec.work > 0:
             # Redistribution is complete; computation cannot time out
             # (it is bounded local work), so the timer is disarmed.
             self.state = _State.COMPUTING
-            self._timer.cancel()
+            self.cancel_timer()
             self.site.sim.after(self.spec.work, self._commit,
                                 label=f"txn-work:{self.id}")
             return
@@ -563,12 +651,14 @@ class Transaction:
             # its commit record, so it simply never happened.
             return
         working: dict[str, Any] = {}
+        original: dict[str, Any] = {}
         read_values: dict[str, Any] = {}
         deltas: list[tuple[str, int, Any]] = []
 
         def current(item: str) -> Any:
             if item not in working:
-                working[item] = self.site.fragments.value(item)
+                working[item] = original[item] = \
+                    self.site.fragments.value(item)
             return working[item]
 
         for op in self.spec.ops:
@@ -614,7 +704,7 @@ class Transaction:
                 read_values[op.item] = current(op.item)
 
         changed = {item: value for item, value in working.items()
-                   if value != self.site.fragments.value(item)}
+                   if value != original[item]}
         actions = tuple(SetFragment(item, value, ts=self.ts)
                         for item, value in sorted(changed.items()))
         if actions:
@@ -636,13 +726,28 @@ class Transaction:
 
     # -- abort paths -------------------------------------------------------------
 
+    def _arm_timer(self) -> None:
+        if self._timer is None:
+            self._timer = Timer(self.site.sim, self._on_timeout,
+                                label=f"txn-timeout:{self.id}")
+        self._timer.start(self._round_length)
+
+    def cancel_timer(self) -> None:
+        """Disarm the timeout for good. Dropping the Timer also breaks
+        the txn <-> timer reference cycle, so a decided transaction is
+        freed as soon as its cancelled event leaves the queue instead of
+        waiting for a full garbage collection."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
     def skew_timeout(self) -> None:
         """Clock-skew hook: the armed timeout fires now instead of later.
 
         Legal because a timeout is a purely local, pessimistic decision
         — nothing in the protocol depends on how long it actually
         waited. No-op when the timer is disarmed (committing)."""
-        if self._timer.armed:
+        if self._timer is not None and self._timer.armed:
             self._timer.cancel()
             self._on_timeout()
 
@@ -654,7 +759,7 @@ class Transaction:
         if self._rounds_left > 0 and self.state is _State.GATHERING:
             self._rounds_left -= 1
             self._send_requests(estimate_without_locks=False)
-            self._timer.start(self._round_length)
+            self._arm_timer()
             return
         self._abort("timeout")
 
@@ -673,7 +778,7 @@ class Transaction:
             return
         was_waiting = self.state is _State.WAITING_LOCKS
         self.state = _State.FINISHED
-        self._timer.cancel()
+        self.cancel_timer()
         if was_waiting:
             self.site.locks.cancel_waiter(self.id)
         self.site.locks.release_all(self.id)

@@ -369,9 +369,7 @@ class VmManager:
 
     def on_transfer(self, transfer: VmTransfer) -> None:
         """Handle a real message: ack bookkeeping, dedup, in-order accept."""
-        self.on_ack(VmAck(src=transfer.src,
-                          cumulative=transfer.piggyback_ack,
-                          ts=transfer.ts))
+        self._ack_through(transfer.src, transfer.piggyback_ack)
         channel = self.in_channel(transfer.src)
         seq = transfer.entry.channel_seq
         if seq <= channel.cumulative_accepted:
@@ -448,7 +446,12 @@ class VmManager:
                 self.drain(src)
 
     def on_ack(self, ack: VmAck) -> None:
-        channel = self.outgoing.get(ack.src)
+        self._ack_through(ack.src, ack.cumulative)
+
+    def _ack_through(self, src: str, cumulative: int) -> None:
+        """*src* has accepted everything up to *cumulative* on our
+        channel to it (an explicit ack or a transfer's piggyback)."""
+        channel = self.outgoing.get(src)
         if channel is None:
             # An ack for a channel this site (per its stable state)
             # never sent on — e.g. a stale duplicate from before a peer
@@ -457,7 +460,7 @@ class VmManager:
             # sends would look already-acked and silently fall out of
             # retransmission. Ignore it; acks carry no value.
             return
-        for entry in channel.ack(ack.cumulative):
+        for entry in channel.ack(cumulative):
             self._note_dead(entry)
         # The window may have slid open: transmit newly admitted
         # entries right away instead of waiting for the next tick.

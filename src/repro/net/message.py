@@ -28,7 +28,7 @@ class Envelope:
     dst: str
     payload: Any
     sent_at: float = 0.0
-    envelope_id: int = field(default_factory=lambda: next(_envelope_ids))
+    envelope_id: int = field(default_factory=_envelope_ids.__next__)
     duplicated: bool = False
 
     def kind(self) -> str:

@@ -72,6 +72,10 @@ class Network:
     def sites(self) -> list[str]:
         return list(self._handlers)
 
+    @property
+    def site_count(self) -> int:
+        return len(self._handlers)
+
     def register(self, name: str, handler: Handler) -> None:
         """Attach a site; *handler* receives each delivered envelope."""
         if name in self._handlers:
@@ -216,21 +220,17 @@ class Network:
         """Send *payload* from *src* to *dst*; may silently drop it."""
         if dst not in self._handlers:
             raise KeyError(f"unknown destination {dst!r}")
-        if self._outbox is not None:
-            kind = type(payload).__name__
-            self.sent_counts[kind] += 1
-            if self._obs.enabled:
-                self._obs.emit(NetSend(t=self.sim.now, src=src, dst=dst,
-                                       payload=kind))
-            self._outbox.enqueue(src, dst, payload)
-            return
-        envelope = Envelope(src, dst, payload, sent_at=self.sim.now)
-        self.sent_counts[envelope.kind()] += 1
-        self._c_sent.value += 1
+        kind = type(payload).__name__
+        self.sent_counts[kind] += 1
         obs = self._obs
         if obs.enabled:
             obs.emit(NetSend(t=self.sim.now, src=src, dst=dst,
-                             payload=envelope.kind()))
+                             payload=kind))
+        if self._outbox is not None:
+            self._outbox.enqueue(src, dst, payload)
+            return
+        envelope = Envelope(src, dst, payload, sent_at=self.sim.now)
+        self._c_sent.value += 1
         # The link's loss draw is sampled unconditionally (so a
         # partition window never shifts the stream), but a message
         # dropped by both the partition AND the sampled loss is counted
@@ -243,19 +243,19 @@ class Network:
             self._c_dropped_partition.value += 1
             if obs.enabled:
                 obs.emit(NetDropPartition(t=self.sim.now, src=src, dst=dst,
-                                          payload=envelope.kind()))
+                                          payload=kind))
             return
         if lost:
             self._c_dropped_loss.value += 1
             if obs.enabled:
                 obs.emit(NetDropLoss(t=self.sim.now, src=src, dst=dst,
-                                     payload=envelope.kind()))
+                                     payload=kind))
             return
-        self._schedule_delivery(envelope, link.draw_delay())
+        self._schedule_delivery(envelope, kind, link.draw_delay())
         if link.should_duplicate():
             duplicate = Envelope(src, dst, payload, sent_at=self.sim.now,
                                  duplicated=True)
-            self._schedule_delivery(duplicate, link.draw_delay())
+            self._schedule_delivery(duplicate, kind, link.draw_delay())
 
     def broadcast(self, src: str, payload: Any,
                   dsts: Iterable[str] | None = None) -> None:
@@ -265,7 +265,9 @@ class Network:
         for dst in targets:
             self.send(src, dst, payload)
 
-    def _schedule_delivery(self, envelope: Envelope, delay: float) -> None:
+    def _schedule_delivery(self, envelope: Envelope, kind: str,
+                           delay: float) -> None:
+        """*kind* is the payload's type name (``envelope.kind()``)."""
         def deliver() -> None:
             # Re-check reachability at delivery time: a partition that
             # strikes while the message is in flight swallows it.
@@ -274,14 +276,14 @@ class Network:
                 if self._obs.enabled:
                     self._obs.emit(NetDropPartition(
                         t=self.sim.now, src=envelope.src, dst=envelope.dst,
-                        payload=envelope.kind()))
+                        payload=kind))
                 return
-            self.delivered_counts[envelope.kind()] += 1
+            self.delivered_counts[kind] += 1
             self._c_delivered.value += 1
             if self._obs.enabled:
                 self._obs.emit(NetDeliver(
                     t=self.sim.now, src=envelope.src, dst=envelope.dst,
-                    payload=envelope.kind()))
+                    payload=kind))
             self._handlers[envelope.dst](envelope)
 
         # Routed to the destination's shard when the simulation is
@@ -289,7 +291,7 @@ class Network:
         # state, and the link's delay lower bound is exactly what the
         # sharded kernel's lookahead is derived from.
         self.sim.after_for_site(envelope.dst, delay, deliver,
-                                label=f"deliver:{envelope.kind()}:"
+                                label=f"deliver:{kind}:"
                                       f"{envelope.src}->{envelope.dst}")
 
     def _deliver_bundle(self, open_bundle: _OpenBundle,
