@@ -55,6 +55,10 @@ class SiteConfig:
     """Per-site protocol knobs."""
 
     txn_timeout: float = 30.0
+    #: The first and the largest Vm retransmission timeout: a channel
+    #: with no round-trip sample yet waits this long before re-sending,
+    #: and neither the estimated timeout nor its per-entry backoff ever
+    #: exceeds it (docs/PROTOCOL.md, "Retransmission").
     retransmit_period: float = 5.0
     checkpoint_interval: int = 0  # log records between checkpoints; 0 = off
     #: Retry request rounds before the timeout fires (Section 5 mentions
@@ -546,8 +550,8 @@ class DvPSite:
         """Model a clock-skew jump: every armed local timer fires NOW.
 
         The protocol's safety cannot depend on how long a timeout
-        actually waits — timeouts are purely local decisions. Firing
-        the Vm retransmission tick early just re-sends live Vm
+        actually waits — timeouts are purely local decisions. Expiring
+        every Vm retransmission deadline early just re-sends live Vm
         (receivers deduplicate); firing a transaction's timeout early
         is a legal pessimistic abort (or a legal early retry round).
         Chaos plans use this to explore skewed-clock schedules.

@@ -55,6 +55,10 @@ class SystemConfig:
     policy: str = "ask-all"
     policy_kwargs: dict = field(default_factory=dict)
     txn_timeout: float = 30.0
+    #: The first and the largest Vm retransmission timeout: a channel
+    #: with no round-trip sample yet waits this long before re-sending,
+    #: and neither the estimated timeout nor its per-entry backoff ever
+    #: exceeds it (docs/PROTOCOL.md, "Retransmission").
     retransmit_period: float = 5.0
     checkpoint_interval: int = 0
     request_retries: int = 0

@@ -5,9 +5,16 @@ A Vm *comes into existence* when the sender forces a log record
 receiver forces ``[database-actions]`` recording its acceptance. In
 between, any number of real messages may carry it; the channel machinery
 here (per-pair FIFO sequence numbers, cumulative acknowledgements —
-piggybacked and explicit — periodic retransmission, duplicate discard,
-in-order buffering) guarantees the value is never lost and never
-absorbed twice, whatever the links do.
+piggybacked and explicit — retransmission once an ack is overdue,
+duplicate discard, in-order buffering) guarantees the value is never
+lost and never absorbed twice, whatever the links do.
+
+Retransmission follows the textbook TCP timer (Jacobson/Karels with
+Karn's rule, RFC 6298) per channel: an entry is re-sent only when its
+own timeout has passed since it was last sent. A first transmission
+waits ``SRTT + 4·RTTVAR`` of its channel, each re-send doubles the
+entry's timeout, and ``retransmit_period`` is both the timeout before
+the first round-trip sample and the ceiling of every timeout.
 
 The manager is deliberately ignorant of transactions and locks: the
 owning site supplies an ``accept`` callback that either absorbs a Vm
@@ -20,6 +27,7 @@ be sent again anyway".
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -33,24 +41,39 @@ from repro.obs.events import (
     VmRetransmit,
     VmTransmit,
 )
-from repro.sim.timers import PeriodicTimer
+from repro.sim.timers import Timer
 from repro.storage.records import VmEntry
 
 #: Shared empty result for no-progress acks (avoids one allocation per
 #: piggybacked ack repeat).
 _NO_ENTRIES: tuple = ()
 
+#: Floor of an estimated timeout, as a share of ``retransmit_period``
+#: (the clock-granularity term of RFC 6298). A transport that acks in
+#: the same instant it delivers gives zero-length round trips; without
+#: a floor their zero timeout would re-send forever at one instant.
+_MIN_TIMEOUT_SHARE = 1 / 16
+
 
 @dataclass
 class OutgoingChannel:
-    """Sender-side state of the FIFO channel to one destination."""
+    """Sender-side state of the FIFO channel to one destination.
+
+    Besides the live entries it keeps the retransmission clock. ``sent``
+    maps each live seq that has been on the wire to ``(last sent at,
+    timeout, sends)``. ``srtt``/``rttvar`` are the channel's smoothed
+    round trip and its variation. All of it is volatile: a channel
+    rebuilt by recovery starts again at ``retransmit_period``.
+    """
 
     dst: str
     next_seq: int = 1
     cumulative_acked: int = 0
     entries: dict[int, VmEntry] = field(default_factory=dict)
     retransmissions: int = 0
-    highest_sent: int = 0
+    sent: dict[int, tuple[float, float, int]] = field(default_factory=dict)
+    srtt: float | None = None
+    rttvar: float = 0.0
 
     def allocate(self) -> int:
         seq = self.next_seq
@@ -61,7 +84,7 @@ class OutgoingChannel:
         return [entry for seq, entry in sorted(self.entries.items())
                 if seq > self.cumulative_acked]
 
-    def ack(self, cumulative: int) -> Sequence[VmEntry]:
+    def ack(self, cumulative: int, now: float) -> Sequence[VmEntry]:
         """Advance the cumulative ack; returns entries newly confirmed.
 
         Progress immediately prunes confirmed entries so channel memory
@@ -71,10 +94,19 @@ class OutgoingChannel:
         live-Vm counters exact without rescanning. No-progress acks
         (piggyback repeats) are the common case, hence the shared empty
         result.
+
+        An advance yields at most one round-trip sample, taken from the
+        newest newly-acked entry and only if it was sent exactly once
+        (Karn's rule: the ack of a re-sent entry cannot say which send
+        it answers). Entries that travelled together would give nearly
+        equal samples, and feeding each of them would collapse RTTVAR.
         """
         if cumulative <= self.cumulative_acked:
             return _NO_ENTRIES
         self.cumulative_acked = cumulative
+        newest = self.sent.get(cumulative)
+        if newest is not None and newest[2] == 1:
+            self.observe_rtt(now - newest[0])
         return self.prune()
 
     def prune(self) -> list[VmEntry]:
@@ -83,7 +115,24 @@ class OutgoingChannel:
                   if seq <= self.cumulative_acked]
         for entry in pruned:
             del self.entries[entry.channel_seq]
+            self.sent.pop(entry.channel_seq, None)
         return pruned
+
+    def observe_rtt(self, rtt: float) -> None:
+        """Fold one round-trip sample into SRTT/RTTVAR (RFC 6298 2.2-2.3)."""
+        if self.srtt is None:
+            self.srtt, self.rttvar = rtt, rtt / 2
+        else:
+            self.rttvar += (abs(self.srtt - rtt) - self.rttvar) / 4
+            self.srtt += (rtt - self.srtt) / 8
+
+    def timeout(self, ceiling: float) -> float:
+        """Timeout of a first transmission: ``SRTT + 4·RTTVAR``, at
+        most *ceiling* (which is also the value before any sample)."""
+        if self.srtt is None:
+            return ceiling
+        return min(ceiling, max(ceiling * _MIN_TIMEOUT_SHARE,
+                                self.srtt + 4 * self.rttvar))
 
 
 @dataclass
@@ -120,9 +169,16 @@ class VmManager:
         "piggybacked onto regular messages" discipline taken literally.
         Correctness is unaffected either way: acks are idempotent
         hints, and the retransmission timer covers any that are elided
-        or lost."""
+        or lost.
+
+        *retransmit_period* is the first and the largest retransmission
+        timeout (see the module docstring)."""
         if window is not None and window < 1:
             raise ValueError("window must be >= 1 (or None)")
+        if retransmit_period <= 0:
+            raise ValueError(
+                f"retransmit_period must be positive, got "
+                f"{retransmit_period}")
         self.site = site
         self.sim = sim
         self.window = window
@@ -151,9 +207,11 @@ class VmManager:
         self._c_retx: dict[str, object] = {}
         self._c_dup: dict[str, object] = {}
         self._h_delivery: dict[str, object] = {}
-        self._timer = PeriodicTimer(sim, retransmit_period,
-                                    self._retransmit_tick,
-                                    label=f"vm-retx:{site}")
+        # One one-shot timer, armed at the earliest retransmission
+        # deadline (``_deadline``; inf while disarmed).
+        self._period = retransmit_period
+        self._timer = Timer(sim, self._on_deadline, label=f"vm-retx:{site}")
+        self._deadline = math.inf
         # Accepting a Vm can complete a transaction, whose lock release
         # pokes the channels again from inside the accept callback; the
         # work queue below makes drain re-entrancy safe (a nested call
@@ -176,10 +234,6 @@ class VmManager:
         self._coalesce = coalesce_acks
         self._ack_due: dict[str, None] = {}
         self._piggyback_sent: dict[str, tuple[float, int]] = {}
-        # Instrumentation for the delivery-latency experiment (E3):
-        # when each outgoing Vm was created / each incoming accepted.
-        self.created_times: dict[tuple[str, int], float] = {}
-        self.accept_times: dict[tuple[str, int], float] = {}
 
     # -- metrics views -------------------------------------------------------
 
@@ -235,8 +289,6 @@ class VmManager:
             channel = self.out_channel(entry.dst)
             channel.entries[entry.channel_seq] = entry
             self._note_live(entry)
-            self.created_times.setdefault((entry.dst, entry.channel_seq),
-                                          now)
             self._c_created.value += 1
             self._metrics.mark(("vm", self.site, entry.dst,
                                 entry.channel_seq), now)
@@ -249,9 +301,7 @@ class VmManager:
             if self.on_created is not None:
                 self.on_created(entry)
             if transmit and self._in_window(channel, entry.channel_seq):
-                self._transmit(entry)
-                channel.highest_sent = max(channel.highest_sent,
-                                           entry.channel_seq)
+                self._arm_by(self._send_entry(channel, entry, now))
         self._ensure_timer()
 
     def _in_window(self, channel: OutgoingChannel, seq: int) -> bool:
@@ -326,44 +376,79 @@ class VmManager:
                                          piggyback_ack=piggyback,
                                          ts=self._clock_ts()))
 
-    def _retransmit_tick(self) -> None:
-        live = 0
+    def _send_entry(self, channel: OutgoingChannel, entry: VmEntry,
+                    now: float) -> float:
+        """Put *entry* on the wire; returns its retransmission deadline.
+
+        A first transmission waits the channel's estimated timeout; each
+        re-send doubles the entry's own timeout, up to
+        ``retransmit_period``.
+        """
+        seq = entry.channel_seq
+        record = channel.sent.get(seq)
+        if record is None:
+            timeout, sends = channel.timeout(self._period), 1
+        else:
+            timeout = min(2 * record[1], self._period)
+            sends = record[2] + 1
+            channel.retransmissions += 1
+            self._c_retx[channel.dst].inc()
+        channel.sent[seq] = (now, timeout, sends)
+        self._transmit(entry, retransmit=record is not None)
+        return now + timeout
+
+    def _resend(self, due_by: float) -> None:
+        """Send every in-window live entry whose deadline is at or
+        before *due_by* (never-sent entries are always due), then arm
+        the timer at the earliest deadline left."""
+        now = self.sim.now
+        earliest = math.inf
         for channel in self.outgoing.values():
-            for entry in channel.unacked():
-                if not self._in_window(channel, entry.channel_seq):
-                    live += 1  # still live, just outside the window
-                    continue
-                retransmit = entry.channel_seq <= channel.highest_sent
-                if retransmit:
-                    channel.retransmissions += 1
-                    self._c_retx[channel.dst].inc()
-                channel.highest_sent = max(channel.highest_sent,
-                                           entry.channel_seq)
-                live += 1
-                self._transmit(entry, retransmit=retransmit)
-        if live == 0:
-            self._timer.stop()
+            sent = channel.sent
+            for seq, entry in channel.entries.items():
+                if not self._in_window(channel, seq):
+                    continue  # still live, just outside the window
+                record = sent.get(seq)
+                if record is None or record[0] + record[1] <= due_by:
+                    deadline = self._send_entry(channel, entry, now)
+                else:
+                    deadline = record[0] + record[1]
+                if deadline < earliest:
+                    earliest = deadline
+        self._arm_by(earliest)
+
+    def _on_deadline(self) -> None:
+        self._deadline = math.inf
+        self._resend(self.sim.now)
+
+    def _arm_by(self, deadline: float) -> None:
+        """Make the timer fire no later than *deadline*."""
+        if deadline < self._deadline:
+            self._deadline = deadline
+            self._timer.start_at(deadline)
 
     def _ensure_timer(self) -> None:
+        """Entries that are live but never sent (recovery restores them
+        unsent) go out one ``retransmit_period`` from now at the latest."""
         if self._live_total > 0:
-            self._timer.start()
+            self._arm_by(self.sim.now + self._period)
 
     def tick_now(self) -> None:
-        """Fire the retransmission tick immediately (clock-skew hook).
+        """Re-send every in-window live Vm right now (clock-skew hook).
 
-        Equivalent to the periodic timer having fired early: every
-        in-window live Vm is re-sent right now. The periodic schedule
-        itself is untouched.
+        Equivalent to every entry's timeout expiring early: each re-send
+        counts and backs off as if its deadline had passed.
         """
-        self._retransmit_tick()
-        self._ensure_timer()
+        self.stop()
+        self._resend(math.inf)
 
     def start(self) -> None:
         """(Re)arm retransmission after construction or recovery."""
         self._ensure_timer()
 
     def stop(self) -> None:
-        self._timer.stop()
+        self._timer.cancel()
+        self._deadline = math.inf
 
     # -- receiver side --------------------------------------------------------
 
@@ -419,7 +504,6 @@ class VmManager:
                 break
             now = self.sim.now
             self._c_accepted.value += 1
-            self.accept_times[(src, next_seq)] = now
             elapsed = self._metrics.elapsed_since_mark(
                 ("vm", src, self.site, next_seq), now)
             if elapsed is not None:
@@ -460,16 +544,20 @@ class VmManager:
             # sends would look already-acked and silently fall out of
             # retransmission. Ignore it; acks carry no value.
             return
-        for entry in channel.ack(cumulative):
+        now = self.sim.now
+        confirmed = channel.ack(cumulative, now)
+        for entry in confirmed:
             self._note_dead(entry)
+        if confirmed and not self._live_total:
+            self.stop()  # nothing live: no deadline to wait for
         # The window may have slid open: transmit newly admitted
         # entries right away instead of waiting for the next tick.
         if self.window is not None:
             for seq in sorted(channel.entries):
-                if seq > channel.highest_sent and \
+                if seq not in channel.sent and \
                         self._in_window(channel, seq):
-                    self._transmit(channel.entries[seq])
-                    channel.highest_sent = seq
+                    self._arm_by(self._send_entry(
+                        channel, channel.entries[seq], now))
 
     def _send_ack(self, dst: str) -> None:
         """Send — or, with coalescing on, schedule — an explicit ack.

@@ -1,8 +1,9 @@
 """Restartable timeout handles built on kernel events.
 
 Transactions (Section 5 of the paper) arm a timeout when they send
-requests and abort when it fires; the Vm layer arms retransmission
-timers. Both need cancel/restart semantics, which raw events lack.
+requests and abort when it fires; the Vm layer arms one retransmission
+timer per site at its earliest overdue-ack deadline. Both need
+cancel/restart semantics, which raw events lack.
 """
 
 from __future__ import annotations
@@ -37,15 +38,20 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer to fire after *delay*."""
+        self._arm(lambda: self._sim.after(delay, self._fire,
+                                          label=self._label))
+
+    def start_at(self, time: float) -> None:
+        """Arm (or re-arm) the timer to fire at absolute *time*."""
+        self._arm(lambda: self._sim.at(time, self._fire,
+                                       label=self._label))
+
+    def _arm(self, schedule: Callable[[], Event]) -> None:
         self.cancel()
         if self._site is None:
-            self._event = self._sim.after(delay, self._fire,
-                                          label=self._label)
+            self._event = schedule()
         else:
-            self._event = self._sim.call_in_site(
-                self._site,
-                lambda: self._sim.after(delay, self._fire,
-                                        label=self._label))
+            self._event = self._sim.call_in_site(self._site, schedule)
 
     def cancel(self) -> None:
         """Disarm the timer if armed."""
@@ -61,9 +67,8 @@ class Timer:
 class PeriodicTimer:
     """Fires *action* every *period* until stopped.
 
-    Used by the Vm retransmission loop: as long as a site has
-    unacknowledged virtual messages it periodically re-sends the real
-    messages that carry them.
+    Used by the baselines' retry loops and the rebalance daemon, which
+    act on a fixed cadence while they have work outstanding.
     """
 
     def __init__(self, sim: Simulator, period: float,

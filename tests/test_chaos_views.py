@@ -2,7 +2,7 @@
 must hold when a slice of the read workload is served from bounded-
 staleness view caches under crashes, partitions, resharding, and
 transport bundling — and with views *off* the whole engine must stay
-byte-identical to the PR 9 seed (the digest pin below)."""
+byte-identical to the pinned engine (the digest pin below)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,12 +17,17 @@ from repro.harness.chaos import config_from_args
 #: direct path, the view-aware front-end, and a view-blind router.
 ACCEPTANCE = [(7, None), (19, "view-aware"), (23, "least-queue")]
 
-#: explore(ChaosConfig(), budget=6, master_seed=7) on the PR 9 engine.
-#: Views off must keep producing this exact digest: the view service
-#: re-interprets an existing workload roll range and never draws extra
-#: randomness, so turning it off IS the seed read path, bit for bit.
-PR9_DIGEST = \
-    "14baf8e2ca857e8631fa3a0cc97d89fc62e88a6db1cdf502c6f488ace9423d85"
+#: explore(ChaosConfig(), budget=6, master_seed=7) on the views-off
+#: engine whose Vm layer re-sends an entry only once its ack is overdue
+#: (docs/PROTOCOL.md, "Retransmission"). Views off must keep producing
+#: this exact digest: the view service re-interprets an existing
+#: workload roll range and never draws extra randomness, so turning it
+#: off IS the seed read path, bit for bit. Any change to retransmission
+#: timing moves it; the engine that re-sent every live Vm on a fixed
+#: period gave
+#: 14baf8e2ca857e8631fa3a0cc97d89fc62e88a6db1cdf502c6f488ace9423d85.
+OVERDUE_ACK_ENGINE_DIGEST = \
+    "f23d4e474a3549719e828a3ea668045acdb0cb8501a308781954cfef4324ce60"
 
 
 class TestExploreWithViews:
@@ -41,12 +46,12 @@ class TestExploreWithViews:
         second = explore(config, budget=6, master_seed=11)
         assert first.digest() == second.digest()
 
-    def test_views_off_is_still_the_pr9_engine(self):
+    def test_views_off_is_the_overdue_ack_engine(self):
         """The fingerprint-stability regression: with views=None the
-        exploration digest equals the recorded pre-views digest."""
+        exploration digest equals the recorded engine digest."""
         report = explore(ChaosConfig(), budget=6, master_seed=7)
         assert report.ok, report.describe()
-        assert report.digest() == PR9_DIGEST
+        assert report.digest() == OVERDUE_ACK_ENGINE_DIGEST
 
     def test_describe_names_the_views(self):
         report = explore(ChaosConfig(views=9.0, view_refresh=3.0),

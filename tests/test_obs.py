@@ -30,8 +30,9 @@ from repro.obs import (
 )
 from repro.sim.kernel import Simulator
 
-REPRO = (pathlib.Path(__file__).parent / "repros" /
-         "chaos_auditor-serial_crash_seed16220008651848166696_1act.json")
+REPRO_DIR = pathlib.Path(__file__).parent / "repros"
+REPRO = REPRO_DIR / \
+    "chaos_auditor-serial_crash_seed16220008651848166696_1act.json"
 
 
 def build_system(**kwargs):
@@ -274,10 +275,13 @@ class TestChaosTraceTail:
             event = event_from_dict(json.loads(line))
             assert event_to_json(event) == line
 
-    def test_replay_tail_byte_identical(self):
-        """The embedded tail reproduces byte-for-byte on replay — the
-        cross-process determinism `repro trace` relies on."""
-        artifact = ReproArtifact.load(REPRO)
+    @pytest.mark.parametrize(
+        "path", sorted(REPRO_DIR.glob("*.json")), ids=lambda path: path.name)
+    def test_replay_tail_byte_identical(self, path):
+        """Every committed artifact's embedded tail reproduces
+        byte-for-byte on replay — the cross-process determinism
+        `repro trace` relies on."""
+        artifact = ReproArtifact.load(path)
         result = artifact.replay(trace_limit=TRACE_TAIL_EVENTS)
         assert result.trace_tail == artifact.trace_tail
         again = artifact.replay(trace_limit=TRACE_TAIL_EVENTS)

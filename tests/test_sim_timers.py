@@ -34,6 +34,16 @@ class TestTimer:
         sim.run()
         assert fired == [7.0]
 
+    def test_start_at_fires_at_absolute_time_and_replaces(self):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(9.0)
+        sim.run_until(2.0)
+        timer.start_at(4.5)  # re-arm earlier, by absolute time
+        sim.run()
+        assert fired == [4.5]
+
     def test_armed_flag(self):
         sim = Simulator()
         timer = Timer(sim, lambda: None)
