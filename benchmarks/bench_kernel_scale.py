@@ -1,45 +1,24 @@
-"""Kernel scaling bench: sites × events, single-queue vs sharded (PR 6).
+"""Kernel scaling bench: sites × events, single-queue vs sharded kernel.
 
-Two questions, answered with numbers in ``BENCH_kernel_scale.json``
-(committed as ``BENCH_pr6.json``):
+The same site-local-chain + ring-hop workload (every site runs a dense
+local timer chain and mails a neighbour twice per virtual-time window)
+executed per grid row on the two kernels ``SystemConfig`` chooses
+between:
 
-1. **Shard scaling** — the same site-local-chain + ring-hop workload
-   (every site runs a dense local timer chain and mails a neighbour
-   twice per virtual-time window) executed three ways per grid row:
+* ``single`` — :class:`~repro.sim.kernel.Simulator`, the classic
+  single-queue kernel (``shards=1``);
+* ``sharded`` — :class:`~repro.sim.shard.ShardedSimulator` over
+  ``min(sites, 8)`` round-robin shards (``shards=N``), run in barrier
+  rounds on one core. Hops travel through ``after_for_site``, so
+  cross-shard mail takes the outbox-and-barrier path real deliveries
+  take. ``speedup`` = single wall / sharded wall: below 1.0 it is the
+  cost of the barrier protocol.
 
-   * ``single`` — one shard, one event queue: the classic kernel path,
-     run through the same harness so the workload code is identical;
-   * ``sharded_serial`` — the full barrier-round protocol over
-     ``min(sites, 8)`` shards, still on one core (measures pure
-     protocol overhead: outbox drains, horizon bookkeeping, rounds);
-   * ``sharded_procs`` — the same shards split across forked worker
-     processes (:func:`repro.sim.parallel.run_parallel`).
-
-   The grid tops out at 128 sites / ~2M events. Determinism is
-   asserted, not assumed: serial and process runs of the sharded plan
-   must produce bit-identical fingerprints and step counts, and every
-   mode must execute the same number of events. ``speedup`` is
-   reported against ``single``; on a single-core host (``cores: 1``)
-   process workers cannot win and the result records that honestly —
-   the CI smoke only gates on determinism, never on wall time.
-
-2. **Calendar-queue win** — the PR 5 ``bench_micro_net`` fanned-
-   transfer scenario (bundling off: ~55k kernel events of link
-   deliveries, timers and retransmissions) measured two ways against
-   the binary heap the calendar queue replaced:
-
-   * ``end_to_end`` — the full protocol run with each queue behind the
-     kernel. Outcomes must match exactly (the calendar pops in the
-     identical (time, priority, seq) order); the wall delta is small
-     because protocol Python dominates per-event cost.
-   * ``replay`` — the run's recorded *op trace* (every push / pop /
-     pop_if_due / peek / cancel, in order) replayed against the bare
-     queues: the queue's own cost on the real op distribution,
-     isolated from the protocol. This is where the win must clear
-     ``MIN_QUEUE_WIN``.
-
-Timing is best-of-``REPEATS`` after warmup, like every bench here: the
-loops are deterministic, so the minimum is the defensible estimate.
+The grid tops out at 128 sites / ~2M events. Both kernels must execute
+the same number of events, and every hop sent must arrive — structural
+gates, asserted on every run. Timing is best-of-``REPEATS``, like
+every bench here: the loops are deterministic, so the minimum is the
+defensible estimate.
 
 Run standalone::
 
@@ -57,15 +36,8 @@ import pathlib
 import sys
 import time
 
-from repro.core.domain import CounterDomain
-from repro.core.system import DvPSystem, SystemConfig
-from repro.metrics.collector import Collector
-from repro.net.link import LinkConfig
-from repro.sim import kernel as kernel_module
-from repro.sim.events import CalendarEventQueue, Event, HeapEventQueue
-from repro.sim.parallel import run_parallel
-from repro.sim.shard import ShardPlan
-from repro.workloads.base import WorkloadConfig, WorkloadDriver
+from repro.sim.kernel import Simulator
+from repro.sim.shard import ShardedSimulator, ShardPlan
 
 #: sites × duration rows; events ≈ sites × duration × 11 (a 0.1-period
 #: local chain, a 2.0-period hop pulse, and the matching deliveries).
@@ -76,7 +48,7 @@ SCALE_GRID = [
     {"sites": 128, "duration": 1500.0},     # ~2.1M events
 ]
 
-#: Shards per row (site-groups); workers never exceeds this.
+#: Shards per row (site-groups).
 MAX_SHARDS = 8
 
 #: Cross-shard hop delay and the lookahead that admits it.
@@ -88,403 +60,132 @@ HOP_PERIOD = 2.0
 
 REPEATS = 3
 
-#: The calendar queue must beat the heap on the micro_net scenario's
-#: replayed op trace by at least this fraction of wall time.
-MIN_QUEUE_WIN = 0.05
-
 #: The grid's largest row must really be at the promised scale.
 MIN_TOP_SITES = 100
 MIN_TOP_EVENTS = 1_000_000
 
 
-class ChainAndHop:
-    """The scaling workload: a shard program (see repro.sim.parallel).
+def install_chain_and_hop(sim: Simulator, sites: list[str],
+                          duration: float) -> dict[str, int]:
+    """Arm the scaling workload on *sim*; return its live counters.
 
     Per site: a local timer chain every ``CHAIN_PERIOD`` (the bulk of
     the events — all queue churn, no mail) and a pulse every
-    ``HOP_PERIOD`` mailing a counter to the next site in the global
-    ring (the cross-shard traffic that exercises barriers and the
-    canonical mail order).
+    ``HOP_PERIOD`` mailing the next site in the ring (the cross-shard
+    traffic that exercises barriers and the canonical mail order).
     """
+    counts = {"local": 0, "hops_out": 0, "hops_in": 0}
 
-    def __init__(self, sites: list[str], duration: float) -> None:
-        self.sites = sites
-        self.duration = duration
-        self._counts: dict[int, dict[str, int]] = {}
+    def arrive():
+        counts["hops_in"] += 1
 
-    def build(self, sim, shard_id, sites, send):
-        counts = {"local": 0, "hops_out": 0, "hops_in": 0}
-        self._counts[shard_id] = counts
-        ring = self.sites
-        duration = self.duration
+    def arm(site: str, target: str) -> None:
+        def tick():
+            counts["local"] += 1
+            if sim.now + CHAIN_PERIOD <= duration:
+                sim.after(CHAIN_PERIOD, tick, label=f"tick:{site}")
 
-        def deliver(payload):
-            counts["hops_in"] += 1
+        def pulse():
+            counts["hops_out"] += 1
+            sim.after_for_site(target, HOP_DELAY, arrive,
+                               label=f"hop:{target}")
+            if sim.now + HOP_PERIOD <= duration:
+                sim.after(HOP_PERIOD, pulse, label=f"pulse:{site}")
 
-        for site in sites:
-            def make_tick(site):
-                def tick():
-                    counts["local"] += 1
-                    if sim.now + CHAIN_PERIOD <= duration:
-                        sim.after(CHAIN_PERIOD, tick,
-                                  label=f"tick:{site}")
-                return tick
+        sim.at_site(site, 0.0, tick, label=f"tick:{site}")
+        sim.at_site(site, 0.0, pulse, label=f"pulse:{site}")
 
-            def make_pulse(site):
-                target = ring[(ring.index(site) + 1) % len(ring)]
-
-                def pulse():
-                    counts["hops_out"] += 1
-                    send(target, HOP_DELAY, counts["hops_out"],
-                         label=f"hop:{target}")
-                    if sim.now + HOP_PERIOD <= duration:
-                        sim.after(HOP_PERIOD, pulse,
-                                  label=f"pulse:{site}")
-                return pulse
-
-            sim.at(0.0, make_tick(site), label=f"tick:{site}")
-            sim.at(0.0, make_pulse(site), label=f"pulse:{site}")
-        return deliver
-
-    def collect(self, sim, shard_id):
-        return dict(self._counts[shard_id])
+    for index, site in enumerate(sites):
+        arm(site, sites[(index + 1) % len(sites)])
+    return counts
 
 
 def _site_names(count: int) -> list[str]:
     return [f"S{index}" for index in range(count)]
 
 
-def _run_mode(sites: list[str], duration: float, shards: int,
-              workers: int) -> dict:
+def _run_mode(sites: list[str], duration: float, shards: int) -> dict:
     gc.collect()
-    plan = ShardPlan.round_robin(sites, shards, LOOKAHEAD)
-    program = ChainAndHop(sites, duration)
+    if shards == 1:
+        sim = Simulator(seed=1)
+    else:
+        sim = ShardedSimulator(
+            ShardPlan.round_robin(sites, shards, LOOKAHEAD), seed=1)
+    counts = install_chain_and_hop(sim, sites, duration)
     start = time.perf_counter()
-    result = run_parallel(plan, program, seed=1, workers=workers)
+    sim.run_until(duration + HOP_DELAY)
     wall = time.perf_counter() - start
-    totals = {"local": 0, "hops_out": 0, "hops_in": 0}
-    for summary in result.collected:
-        for key in totals:
-            totals[key] += summary[key]
-    assert totals["hops_in"] == totals["hops_out"]
-    return {
-        "wall_s": wall,
-        "events": result.steps,
-        "rounds": result.rounds,
-        "fingerprint": result.fingerprint,
-        "workers": result.workers,
-        "hops": totals["hops_in"],
-    }
+    assert sim.pending == 0, "workload outlived its horizon"
+    return {"wall_s": wall, "events": sim.steps,
+            "rounds": getattr(sim, "rounds", 0), **counts}
 
 
-def bench_scale(grid: list[dict], workers: int, repeats: int) -> list[dict]:
+def bench_scale(grid: list[dict], repeats: int) -> list[dict]:
     rows = []
     for cell in grid:
         sites = _site_names(cell["sites"])
         duration = cell["duration"]
         shards = min(cell["sites"], MAX_SHARDS)
-        modes = {
-            "single": (1, 0),
-            "sharded_serial": (shards, 0),
-            "sharded_procs": (shards, workers),
-        }
         row = {"sites": cell["sites"], "duration": duration,
                "shards": shards}
-        runs = {}
-        for mode, (mode_shards, mode_workers) in modes.items():
-            best = None
-            for _ in range(repeats):
-                result = _run_mode(sites, duration, mode_shards,
-                                   mode_workers)
-                if best is None or result["wall_s"] < best["wall_s"]:
-                    best = result
-            runs[mode] = best
-        # Determinism and equivalence gates.
-        assert runs["sharded_serial"]["fingerprint"] == \
-            runs["sharded_procs"]["fingerprint"], \
-            "sharded fingerprint diverged between serial and processes"
-        events = {run["events"] for run in runs.values()}
-        assert len(events) == 1, f"event counts diverged: {events}"
-        row["events"] = events.pop()
-        for mode, run in runs.items():
-            row[mode] = {
-                "wall_s": round(run["wall_s"], 3),
-                "events_per_s": int(row["events"] / run["wall_s"]),
-                "rounds": run["rounds"],
-                "workers": run["workers"],
-            }
-        row["speedup_serial"] = round(
-            runs["single"]["wall_s"] / runs["sharded_serial"]["wall_s"], 3)
-        row["speedup_procs"] = round(
-            runs["single"]["wall_s"] / runs["sharded_procs"]["wall_s"], 3)
+        for mode, mode_shards in (("single", 1), ("sharded", shards)):
+            best = min((_run_mode(sites, duration, mode_shards)
+                        for _ in range(repeats)),
+                       key=lambda run: run["wall_s"])
+            assert best["hops_in"] == best["hops_out"], \
+                f"{mode}: hops lost in flight: {best}"
+            best["wall_s"] = round(best["wall_s"], 3)
+            best["events_per_s"] = int(best["events"] / best["wall_s"])
+            row[mode] = best
+        assert row["single"]["events"] == row["sharded"]["events"], \
+            "event counts diverged between the kernels"
+        row["events"] = row["single"]["events"]
+        row["speedup"] = round(
+            row["single"]["wall_s"] / row["sharded"]["wall_s"], 3)
         rows.append(row)
         print(f"  sites={row['sites']:>4} events={row['events']:>9,} "
               f"single={row['single']['wall_s']:.2f}s "
-              f"sharded={row['sharded_serial']['wall_s']:.2f}s "
-              f"procs={row['sharded_procs']['wall_s']:.2f}s "
-              f"(speedup {row['speedup_procs']})", file=sys.stderr)
+              f"sharded={row['sharded']['wall_s']:.2f}s "
+              f"(speedup {row['speedup']})", file=sys.stderr)
     return rows
 
 
-# -- calendar vs heap on the micro_net scenario ---------------------------
-
-#: One recorded queue op: ("push", time, priority) | ("pop", 0, 0) |
-#: ("due", horizon, 0) | ("peek", 0, 0) | ("cancel", push_index, 0).
-_OpTrace = list
-
-class _Recorder:
-    """Captures the exact queue-op sequence of one simulation run.
-
-    A :class:`CalendarEventQueue` subclass logs every public queue call;
-    ``Event.cancel`` is patched for the recording's duration to log
-    which pushed event (by push index) was cancelled, since ``Event``
-    is a slots dataclass and takes no per-instance wrapper. Strong refs
-    to every pushed event keep ``id()`` keys unique for the whole run.
-    """
-
-    def __init__(self) -> None:
-        self.ops: _OpTrace = []
-        self._push_index: dict[int, int] = {}
-        self._keep: list[Event] = []
-        recorder = self
-
-        class RecordingQueue(CalendarEventQueue):
-            def push(self, time, action, priority=0, label=""):
-                recorder.ops.append(("push", time, priority))
-                event = super().push(time, action, priority, label)
-                recorder._push_index[id(event)] = \
-                    len(recorder._push_index)
-                recorder._keep.append(event)
-                return event
-
-            def pop(self):
-                recorder.ops.append(("pop", 0.0, 0))
-                return super().pop()
-
-            def pop_if_due(self, time):
-                recorder.ops.append(("due", time, 0))
-                return super().pop_if_due(time)
-
-            def peek_time(self):
-                recorder.ops.append(("peek", 0.0, 0))
-                return super().peek_time()
-
-        self.queue_factory = RecordingQueue
-
-    def __enter__(self) -> "_Recorder":
-        self._original_cancel = Event.cancel
-        push_index, ops = self._push_index, self.ops
-        original = self._original_cancel
-
-        def recording_cancel(event):
-            index = push_index.get(id(event))
-            if index is not None:
-                ops.append(("cancel", index, 0))
-            original(event)
-
-        Event.cancel = recording_cancel
-        return self
-
-    def __exit__(self, *exc) -> None:
-        Event.cancel = self._original_cancel
-
-
-def _noop() -> None:
-    pass
-
-
-def _replay(queue_factory, ops: _OpTrace) -> float:
-    """Feed a recorded op trace to a bare queue; return the wall time."""
-    gc.collect()
-    queue = queue_factory()
-    handles = []
-    start = time.perf_counter()
-    for kind, value, priority in ops:
-        if kind == "push":
-            handles.append(queue.push(value, _noop, priority))
-        elif kind == "due":
-            queue.pop_if_due(value)
-        elif kind == "pop":
-            queue.pop()
-        elif kind == "cancel":
-            handles[int(value)].cancel()
-        else:
-            queue.peek_time()
-    return time.perf_counter() - start
-
-
-def _run_micro_net(scenario: dict, queue_factory) -> dict:
-    """The bench_micro_net fanned-transfer run (bundling off) with a
-    chosen queue implementation behind the kernel's default."""
-    gc.collect()
-    from bench_micro_net import FannedTransfers
-    original = kernel_module.EventQueue
-    kernel_module.EventQueue = queue_factory
-    try:
-        sites = list(scenario["sites"])
-        system = DvPSystem(SystemConfig(
-            sites=sites, seed=scenario["seed"],
-            txn_timeout=scenario["txn_timeout"],
-            retransmit_period=scenario["retransmit_period"],
-            link=LinkConfig(base_delay=2.0, jitter=1.0)))
-        source = FannedTransfers(sites, scenario["src_items"],
-                                 scenario["sink_items"],
-                                 scenario["ops_per_txn"])
-        for site in sites:
-            peer_split = {peer: scenario["initial_per_peer"]
-                          for peer in sites if peer != site}
-            for index in range(scenario["src_items"]):
-                system.add_item(f"acct_{site}_{index}", CounterDomain(),
-                                split=peer_split)
-            for index in range(scenario["sink_items"]):
-                system.add_item(f"sink_{site}_{index}", CounterDomain(),
-                                split={name: 1 for name in sites})
-        collector = Collector()
-        WorkloadDriver(
-            system.sim, system, sites, source,
-            WorkloadConfig(arrival_rate=scenario["arrival_rate"],
-                           duration=scenario["duration"]),
-            collector).install()
-        start = time.perf_counter()
-        system.run_until(scenario["duration"])
-        system.run_for(scenario["settle"])
-        wall = time.perf_counter() - start
-        system.auditor.assert_ok()
-        return {
-            "wall_s": wall,
-            "kernel_events": system.sim.steps,
-            "decided": len(system.results),
-            "committed": len(system.committed()),
-            "ns_per_event": wall / system.sim.steps * 1e9,
-        }
-    finally:
-        kernel_module.EventQueue = original
-
-
-def bench_queue(scenario: dict, repeats: int) -> dict:
-    _run_micro_net(scenario, CalendarEventQueue)     # warmup
-    runs = {name: [_run_micro_net(scenario, factory)
-                   for _ in range(repeats)]
-            for name, factory in (("calendar", CalendarEventQueue),
-                                  ("heap", HeapEventQueue))}
-    payload = {"end_to_end": {}}
-    for name, results in runs.items():
-        # Identical schedules regardless of queue internals.
-        structural = {(run["kernel_events"], run["decided"],
-                       run["committed"]) for run in results}
-        assert len(structural) == 1, f"{name} diverged: {structural}"
-        summary = dict(min(results, key=lambda run: run["wall_s"]))
-        summary["wall_s"] = round(summary["wall_s"], 3)
-        summary["ns_per_event"] = round(summary["ns_per_event"])
-        payload["end_to_end"][name] = summary
-    end = payload["end_to_end"]
-    assert end["calendar"]["kernel_events"] == \
-        end["heap"]["kernel_events"]
-    assert end["calendar"]["committed"] == end["heap"]["committed"]
-    end["win"] = round(
-        1.0 - end["calendar"]["wall_s"] / end["heap"]["wall_s"], 3)
-
-    # Isolated queue cost: record one run's op trace, replay it.
-    with _Recorder() as recorder:
-        _run_micro_net(scenario, recorder.queue_factory)
-    ops = recorder.ops
-    replay = {}
-    for name, factory in (("calendar", CalendarEventQueue),
-                          ("heap", HeapEventQueue)):
-        wall = min(_replay(factory, ops) for _ in range(repeats + 1))
-        replay[name] = {"wall_s": round(wall, 3),
-                        "ns_per_op": round(wall / len(ops) * 1e9)}
-    replay["ops"] = len(ops)
-    replay["pushes"] = sum(1 for op in ops if op[0] == "push")
-    replay["cancels"] = sum(1 for op in ops if op[0] == "cancel")
-    replay["win"] = round(1.0 - replay["calendar"]["wall_s"]
-                          / replay["heap"]["wall_s"], 3)
-    payload["replay"] = replay
-    payload["queue_win"] = replay["win"]
-    return payload
-
-
 def test_kernel_scale_smoke():
-    """CI smoke: a tiny grid row through all three modes (the in-bench
-    asserts already check fingerprint and event-count agreement) plus a
-    short queue comparison. Structural gates only — wall-clock gates
-    live in ``main``, CI boxes are too noisy."""
-    rows = bench_scale([{"sites": 8, "duration": 40.0}], workers=2,
-                       repeats=1)
-    row = rows[0]
+    """CI smoke: a tiny grid row on both kernels (the in-bench asserts
+    already check event-count agreement and hop balance). Structural
+    gates only — CI boxes are too noisy for wall-clock gates."""
+    row = bench_scale([{"sites": 8, "duration": 40.0}], repeats=1)[0]
     assert row["events"] > 0
     assert row["shards"] == 8
-    assert row["sharded_procs"]["workers"] >= 1
-
-    from bench_micro_net import SCENARIO
-    queue = bench_queue({**SCENARIO, "duration": 120.0}, repeats=1)
-    end = queue["end_to_end"]
-    assert end["calendar"]["committed"] == end["heap"]["committed"] > 0
-    assert queue["replay"]["pushes"] > 0
-    assert queue["replay"]["ops"] > queue["replay"]["pushes"]
+    assert row["sharded"]["rounds"] > 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="BENCH_kernel_scale.json")
-    parser.add_argument("--workers", type=int,
-                        default=min(4, os.cpu_count() or 1))
     parser.add_argument("--repeats", type=int, default=None,
                         help="best-of-N per cell (default: 1 for rows "
                              ">= 64 sites, otherwise REPEATS)")
     parser.add_argument("--smoke", action="store_true",
-                        help="small grid, 2 workers, determinism gates "
-                             "only (the CI kernel-scale job)")
+                        help="one small row, structural gates only "
+                             "(the CI kernel-scale job)")
     args = parser.parse_args(argv)
 
-    if args.smoke:
-        grid = [{"sites": 8, "duration": 60.0}]
-        workers = 2
-        queue_scenario_duration = 150.0
-    else:
-        grid = SCALE_GRID
-        workers = args.workers
-        queue_scenario_duration = None
-
-    print(f"scaling grid ({len(grid)} rows, workers={workers}):",
-          file=sys.stderr)
+    grid = [{"sites": 8, "duration": 60.0}] if args.smoke else SCALE_GRID
+    print(f"scaling grid ({len(grid)} rows):", file=sys.stderr)
     rows = []
     for cell in grid:
         repeats = (args.repeats if args.repeats is not None
                    else (1 if cell["sites"] >= 64 else REPEATS))
-        rows.extend(bench_scale([cell], workers, repeats))
+        rows.extend(bench_scale([cell], repeats))
 
-    from bench_micro_net import SCENARIO
-    scenario = dict(SCENARIO)
-    if queue_scenario_duration is not None:
-        scenario["duration"] = queue_scenario_duration
-    print("calendar vs heap on micro_net scenario:", file=sys.stderr)
-    queue = bench_queue(scenario, repeats=1 if args.smoke else REPEATS)
-    end = queue["end_to_end"]
-    replay = queue["replay"]
-    print(f"  end-to-end: calendar {end['calendar']['ns_per_event']} vs "
-          f"heap {end['heap']['ns_per_event']} ns/event "
-          f"(win {end['win']:.1%}, "
-          f"{end['calendar']['kernel_events']:,} events)",
-          file=sys.stderr)
-    print(f"  op replay : calendar {replay['calendar']['ns_per_op']} vs "
-          f"heap {replay['heap']['ns_per_op']} ns/op "
-          f"(win {replay['win']:.1%}, {replay['ops']:,} ops)",
-          file=sys.stderr)
-
-    cores = os.cpu_count() or 1
     payload = {
         "bench": "kernel_scale",
-        "cores": cores,
-        "workers": workers,
+        "cores": os.cpu_count() or 1,
         "scale": rows,
-        "queue": queue,
         "notes": [
-            ("speedup_procs is honest for this host: with one core, "
-             "forked workers cannot beat the single process."
-             if cores == 1 else
-             "multi-core host: speedup_procs reflects real parallel "
-             "execution."),
+            ("both kernels run on one core; speedup is the sharded "
+             "kernel's barrier-round overhead, not parallelism."),
             ("all columns are same-host, same-session measurements; "
              "wall times recorded in earlier BENCH_pr*.json files came "
              "from different hosts and are not comparable."),
@@ -493,19 +194,10 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = []
     top = max(rows, key=lambda row: row["events"])
-    if not args.smoke:
-        if top["sites"] < MIN_TOP_SITES or top["events"] < MIN_TOP_EVENTS:
-            failures.append(
-                f"largest row too small: {top['sites']} sites / "
-                f"{top['events']} events")
-        if queue["queue_win"] < MIN_QUEUE_WIN:
-            failures.append(
-                f"calendar win {queue['queue_win']:.1%} below the "
-                f"{MIN_QUEUE_WIN:.0%} gate")
-        if cores > 1 and top["speedup_procs"] <= 1.0:
-            failures.append(
-                f"no parallel speedup on a {cores}-core host "
-                f"({top['speedup_procs']})")
+    if not args.smoke and (top["sites"] < MIN_TOP_SITES
+                           or top["events"] < MIN_TOP_EVENTS):
+        failures.append(f"largest row too small: {top['sites']} sites / "
+                        f"{top['events']} events")
 
     path = pathlib.Path(args.out)
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")

@@ -79,9 +79,6 @@ class ChaosConfig:
     #: classic single-queue kernel. Old recorded artifacts carry no key
     #: and load as 1, so their fingerprints replay byte-for-byte.
     shards: int = 1
-    #: Worker-lane count for the sharded kernel's schedule; any value
-    #: must produce the same fingerprint (the determinism tests pin it).
-    shard_workers: int = 1
     #: Partitioner name for the placement directory ("all" = the seed
     #: behaviour: every site owns every item). Old recorded artifacts
     #: carry no key and load as "all", replaying byte-for-byte.
@@ -120,6 +117,11 @@ class ChaosConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ChaosConfig":
+        # Artifacts recorded while the sharded kernel took a worker-lane
+        # count carry a "shard_workers" key. Every value gave the same
+        # fingerprint, so dropping it replays them unchanged.
+        data = {key: value for key, value in data.items()
+                if key != "shard_workers"}
         return cls(**data)
 
 
@@ -281,7 +283,7 @@ def run_chaos(config: ChaosConfig, plan: FaultPlan, seed: int,
         link=LinkConfig(base_delay=config.base_delay,
                         jitter=config.base_jitter),
         bundling=bundling,
-        shards=config.shards, shard_workers=config.shard_workers,
+        shards=config.shards,
         partitioner=config.partitioner, replicas=config.replicas,
         views=views))
     result = ChaosResult(config=config, plan=plan, seed=seed, system=system)

@@ -80,10 +80,6 @@ class SystemConfig:
     #: 1 = the classic single-queue kernel, byte-for-byte the seed
     #: behaviour. Requires a positive link delay lower bound.
     shards: int = 1
-    #: Worker-lane count for the sharded kernel's deterministic
-    #: schedule (shard i -> worker i % shard_workers). Any value yields
-    #: the same trace fingerprint; it exists so tests can prove that.
-    shard_workers: int = 1
     #: Placement function for the partition directory
     #: (repro.core.partition; docs/PARTITIONING.md). "all" = every site
     #: owns every item, byte-for-byte the seed behaviour.
@@ -104,8 +100,6 @@ class SystemConfig:
             raise ValueError("at least one site required")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.shard_workers < 1:
-            raise ValueError("shard_workers must be >= 1")
         if self.partitioner not in PARTITIONERS:
             raise ValueError(
                 f"unknown partitioner {self.partitioner!r}; "
@@ -136,9 +130,7 @@ class DvPSystem:
                     "conservative lookahead")
             plan = ShardPlan.round_robin(
                 self.config.sites, self.config.shards, lookahead)
-            self.sim: Simulator = ShardedSimulator(
-                plan, self.config.seed,
-                workers=self.config.shard_workers)
+            self.sim: Simulator = ShardedSimulator(plan, self.config.seed)
         else:
             self.sim = Simulator(self.config.seed)
         if use_sync:

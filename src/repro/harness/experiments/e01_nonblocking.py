@@ -55,11 +55,9 @@ class Params:
     seed: int = 11
     link_delay: float = 2.0
     link_jitter: float = 1.0
-    #: Sharded-kernel knobs (repro.sim.shard); defaults reproduce the
-    #: classic single-queue run. The determinism suite reruns this
-    #: experiment with several worker counts and pins the fingerprint.
+    #: Sharded-kernel shard count (repro.sim.shard); 1 reproduces the
+    #: classic single-queue run.
     shards: int = 1
-    shard_workers: int = 1
 
     @classmethod
     def quick(cls) -> "Params":
@@ -115,7 +113,7 @@ def _run_dvp(params: Params, duration: float) -> dict:
         txn_timeout=params.txn_timeout,
         link=LinkConfig(base_delay=params.link_delay,
                         jitter=params.link_jitter),
-        shards=params.shards, shard_workers=params.shard_workers)
+        shards=params.shards)
     system = DvPSystem(config)
     source = CrossSiteTransfers(params.sites)
     for site in params.sites:

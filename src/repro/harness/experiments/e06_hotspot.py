@@ -74,10 +74,9 @@ class Params:
     rebalance_max_ship: int = 5
     rebalance_timeout: float = 8.0
     rebalance_link_delay: float = 6.0  # rescue round trip > timeout
-    #: Sharded-kernel knobs (repro.sim.shard); defaults reproduce the
+    #: Sharded-kernel shard count (repro.sim.shard); 1 reproduces the
     #: classic single-queue run.
     shards: int = 1
-    shard_workers: int = 1
 
     @classmethod
     def quick(cls) -> "Params":
@@ -119,7 +118,7 @@ def _run_dvp(params: Params, count: int) -> dict:
     system = DvPSystem(SystemConfig(
         sites=sites, seed=params.seed, txn_timeout=params.txn_timeout,
         link=LinkConfig(base_delay=params.link_delay),
-        shards=params.shards, shard_workers=params.shard_workers))
+        shards=params.shards))
     system.add_item("hot", CounterDomain(), total=params.initial)
     collector = _drive(system, sites, params)
     system.auditor.assert_ok()
@@ -151,7 +150,7 @@ def _run_rebalance(params: Params, policy: str) -> dict:
         txn_timeout=params.rebalance_timeout,
         policy="ask-few", policy_kwargs={"fanout": 1},
         link=LinkConfig(base_delay=params.rebalance_link_delay),
-        shards=params.shards, shard_workers=params.shard_workers))
+        shards=params.shards))
     split = {depot: params.rebalance_reserve}
     split.update({seller: params.rebalance_quota for seller in sellers})
     system.add_item("hot", CounterDomain(), split=split)

@@ -118,7 +118,7 @@ def _run_one(params: Params, sites_n: int, policy: str,
         sites=sites, seed=params.seed, txn_timeout=params.txn_timeout,
         cc="conc2", sync_delay=params.link_delay,
         link=LinkConfig(base_delay=params.link_delay),
-        shards=params.shards, shard_workers=1,
+        shards=params.shards,
         partitioner="hash", replicas=params.replicas))
     items = [f"flight{index}" for index in range(params.items)]
 

@@ -31,28 +31,26 @@ class Collector:
 
     results: list[TxnResult] = field(default_factory=list)
     submitted: int = 0
-    #: Virtual time of each submission that supplied one. Windowed
-    #: views need these: a submission that vanished in a crash has no
-    #: TxnResult, so the only way to count it inside a window is by
-    #: when it was submitted.
+    #: Virtual time of each submission. Windowed views need these: a
+    #: submission that vanished in a crash has no TxnResult, so the
+    #: only way to count it inside a window is by when it was
+    #: submitted.
     submit_times: list[float] = field(default_factory=list)
     #: Requests refused by admission control (serving front-end) —
     #: decided, but never entered the system, so no TxnResult.
     shed: int = 0
     shed_times: list[float] = field(default_factory=list)
 
-    def on_submit(self, at: float | None = None) -> None:
+    def on_submit(self, at: float) -> None:
         self.submitted += 1
-        if at is not None:
-            self.submit_times.append(at)
+        self.submit_times.append(at)
 
     def on_result(self, result: TxnResult) -> None:
         self.results.append(result)
 
-    def on_shed(self, at: float | None = None) -> None:
+    def on_shed(self, at: float) -> None:
         self.shed += 1
-        if at is not None:
-            self.shed_times.append(at)
+        self.shed_times.append(at)
 
     # -- views ---------------------------------------------------------------
 
@@ -112,12 +110,9 @@ class Collector:
     def in_window(self, start: float, end: float) -> "Collector":
         """Sub-collector of results that were *submitted* in [start, end).
 
-        When per-submission timestamps were recorded, ``submitted`` (and
-        hence ``lost``) reflects the submissions that actually fell in
-        the window — not just the ones that came back. Pre-fix this
-        method set ``submitted = len(results)``, so a windowed view
-        could never report a lost transaction. Without timestamps
-        (legacy callers) it falls back to that old behaviour.
+        ``submitted`` (and hence ``lost``) counts the submissions that
+        fell in the window — not just the ones that came back, so a
+        windowed view reports transactions lost inside it.
         """
         window = Collector()
         window.results = [result for result in self.results
@@ -127,6 +122,5 @@ class Collector:
         window.shed_times = [at for at in self.shed_times
                              if start <= at < end]
         window.shed = len(window.shed_times)
-        window.submitted = (len(window.submit_times) if self.submit_times
-                            else len(window.results) + window.shed)
+        window.submitted = len(window.submit_times)
         return window

@@ -14,7 +14,7 @@ e07). This module adds the read-scaling tier:
   ``ConservationAuditor.verify_full`` cross-checks against brute-force
   scans.
 * :class:`ViewService` — the write-behind refresh loop. At global
-  barriers (a consistent cut, so the totals are worker-invariant) it
+  barriers (a consistent cut, so the totals are exact) it
   snapshots the store into :class:`~repro.reads.messages.ViewEntry`
   values and pushes one batched
   :class:`~repro.reads.messages.ViewRefresh` per (publisher,
@@ -321,10 +321,10 @@ class ViewService:
         """Snapshot every item at this barrier and push the batches.
 
         Runs at a consistent cut: every event with timestamp <= now has
-        executed on every shard, so ``store.total`` is exact and
-        worker-invariant. Each item's entry is published by its
-        directory primary owner; owners known to be down publish
-        nothing this round (their items' caches age toward fallback).
+        executed on every shard, so ``store.total`` is exact. Each
+        item's entry is published by its directory primary owner;
+        owners known to be down publish nothing this round (their
+        items' caches age toward fallback).
         """
         now = self.sim.now
         epoch = self.system.directory.epoch

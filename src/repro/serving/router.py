@@ -4,7 +4,7 @@ Three policies:
 
 * **random** — uniform spray; the baseline every useful policy must
   beat. Draws come from a *per-origin-site* stream so routing is
-  independent of shard execution order (worker-invariant).
+  independent of shard execution order.
 * **least-queue** — join-the-shortest-queue over a :class:`DepthBoard`
   snapshot. Reading live cross-shard queue depths from inside a shard
   event would make routing depend on which shard ran first in the

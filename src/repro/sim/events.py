@@ -5,31 +5,22 @@ increasing ``seq`` makes ordering total and stable: two events scheduled
 for the same instant fire in scheduling order, which keeps runs
 deterministic regardless of queue internals.
 
-Two queue implementations share that contract:
-
-* :class:`HeapEventQueue` — the original binary heap. Every push and
-  pop pays ``O(log pending)`` Python-level ``Event.__lt__`` calls,
-  which PR 5's profiling showed is the kernel's hottest code.
-* :class:`CalendarEventQueue` — a calendar-queue / timer-wheel hybrid
-  (``EventQueue`` aliases it). Virtual time is cut into fixed-width
-  *days*; an event lands in an O(1) unsorted wheel bucket for its day,
-  a far-future overflow heap, or the small *current-day* heap that
-  feeds ``pop``. Most events (link deliveries a few time units out,
-  timers tens of units out) take the O(1) bucket path and only ever
-  pay heap costs against the handful of events sharing their day —
-  not against every pending retransmission timer in the run.
-
-Both orders are *identical* — the calendar structure only changes
-where an event waits, never when it pops — so trace fingerprints and
-every replay artifact recorded against the heap still verify.
+:class:`EventQueue` is a calendar-queue / timer-wheel hybrid. Virtual
+time is cut into fixed-width *days*; an event lands in an O(1) unsorted
+wheel bucket for its day, a far-future overflow heap, or the small
+sorted *current-day* run that feeds ``pop``. Most events (link
+deliveries a few time units out, timers tens of units out) take the
+O(1) bucket path and only ever pay comparison costs against the handful
+of events sharing their day — not against every pending retransmission
+timer in the run. The structure only changes where an event waits,
+never when it pops.
 
 Cancellation is lazy (a cancelled event stays stored until it reaches
 the front), but the queue tracks how many cancelled entries it is
 carrying and *compacts* when they dominate: long chaos runs cancel
 thousands of timers (retransmission timers stopped by acks, transaction
-timeouts disarmed by commits). In the calendar queue a cancelled wheel
-entry additionally costs nothing until its day is reached — corpses
-never sift through a heap they were removed from.
+timeouts disarmed by commits). A cancelled wheel entry costs nothing
+until its day is reached.
 """
 
 from __future__ import annotations
@@ -45,10 +36,10 @@ COMPACT_MIN_HEAP = 1024
 #: Width of one calendar day in virtual-time units. Link delays and
 #: timer periods in this codebase are O(1)–O(10) units, so a day holds
 #: only the events of one delivery "generation".
-DEFAULT_DAY_WIDTH = 1.0
+DAY_WIDTH = 1.0
 
 #: Days covered by the wheel before events spill to the overflow heap.
-DEFAULT_WHEEL_DAYS = 256
+WHEEL_DAYS = 256
 
 
 @dataclass(slots=True)
@@ -72,13 +63,13 @@ class Event:
     #: compaction — so a popped handle can never keep a dead queue
     #: alive) — lets cancel() keep the queue's cancelled-entry count
     #: exact without a scan.
-    queue: "HeapEventQueue | CalendarEventQueue | None" = field(
-        compare=False, default=None, repr=False)
+    queue: "EventQueue | None" = field(compare=False, default=None,
+                                       repr=False)
 
     def __lt__(self, other: "Event") -> bool:
         # Hand-written instead of dataclass(order=True): the generated
-        # method builds two field tuples per comparison, and heap
-        # sift-up/down makes this the hottest function in long runs.
+        # method builds two field tuples per comparison, and the current
+        # run's binary insert and sort call it for every same-day event.
         # Times almost always differ, so the common path is one load
         # and one float compare per side.
         if self.time != other.time:
@@ -96,124 +87,19 @@ class Event:
             self.queue._note_cancel()
 
 
-class HeapEventQueue:
-    """Min-heap of :class:`Event` with lazy cancellation + compaction.
-
-    The pre-calendar implementation, kept as the ordering *reference*:
-    the calendar queue's property tests replay random schedules against
-    it and demand identical pop sequences. It is also a drop-in
-    fallback (``Simulator(queue_factory=HeapEventQueue)``).
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._seq = 0
-        self._cancelled = 0
-        self.compactions = 0
-
-    def __len__(self) -> int:
-        """Number of *live* (non-cancelled) pending events.
-
-        Counting live events keeps the answer stable across lazy
-        discards and heap compaction.
-        """
-        return len(self._heap) - self._cancelled
-
-    def push(self, time: float, action: Callable[[], Any], priority: int = 0,
-             label: str = "") -> Event:
-        """Enqueue *action* to run at *time*; return a cancellable handle."""
-        event = Event(time, priority, self._seq, action, label, queue=self)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
-
-    def pop(self) -> Event | None:
-        """Remove and return the earliest live event, or None if drained."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            event.queue = None
-            if not event.cancelled:
-                return event
-            self._cancelled -= 1
-        return None
-
-    def peek_time(self) -> float | None:
-        """Time of the earliest live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap).queue = None
-            self._cancelled -= 1
-        if not self._heap:
-            return None
-        return self._heap[0].time
-
-    def pop_if_due(self, time: float) -> Event | None:
-        """Pop the earliest live event iff it is due by *time*.
-
-        One heap traversal replaces the ``peek_time()``-then-``pop()``
-        pair the run-until loop used to make per event: cancelled heads
-        are discarded on the way, and a live head scheduled after
-        *time* stays queued.
-        """
-        heap = self._heap
-        while heap:
-            event = heap[0]
-            if event.cancelled:
-                heapq.heappop(heap).queue = None
-                self._cancelled -= 1
-                continue
-            if event.time > time:
-                return None
-            event = heapq.heappop(heap)
-            event.queue = None
-            return event
-        return None
-
-    # -- compaction --------------------------------------------------------
-
-    def _note_cancel(self) -> None:
-        """One stored event was cancelled; compact if corpses dominate."""
-        self._cancelled += 1
-        if (len(self._heap) > COMPACT_MIN_HEAP
-                and self._cancelled * 2 > len(self._heap)):
-            self.compact()
-
-    def compact(self) -> None:
-        """Rebuild the heap without cancelled entries.
-
-        O(live) — heapify over the survivors. Order is preserved
-        because events compare by ``(time, priority, seq)``, which is
-        independent of heap layout.
-        """
-        survivors = []
-        for event in self._heap:
-            if event.cancelled:
-                event.queue = None
-            else:
-                survivors.append(event)
-        self._heap = survivors
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-        self.compactions += 1
-
-    def clear(self) -> None:
-        for event in self._heap:
-            event.queue = None
-        self._heap.clear()
-        self._cancelled = 0
-
-
-class CalendarEventQueue:
-    """Calendar-queue / timer-wheel hybrid with exact heap-order parity.
+class EventQueue:
+    """Calendar-queue / timer-wheel hybrid popping in exact
+    ``(time, priority, seq)`` order.
 
     Storage tiers, by how far ahead an event's *day*
-    (``floor(time / day_width)``) lies:
+    (``floor(time / DAY_WIDTH)``) lies:
 
     * day <= current day — the **current run**, a list kept sorted in
       *descending* ``(time, priority, seq)`` order. ``pop`` only ever
       touches this tier, and because the next event sits at the tail it
-      is a comparison-free ``list.pop()`` — where the binary heap paid
+      is a comparison-free ``list.pop()`` — where a binary heap pays
       ``~2·log(pending)`` Python-level ``__lt__`` calls sifting down.
-    * within ``wheel_days`` days — an **unsorted wheel bucket**;
+    * within ``WHEEL_DAYS`` days — an **unsorted wheel bucket**;
       push is an O(1) list append with zero comparisons.
     * beyond the wheel — the **overflow heap** (far-future events are
       rare: recovery backstops, experiment horizons).
@@ -228,22 +114,14 @@ class CalendarEventQueue:
     this day has been consumed — the wheel spans fewer days than one
     lap), so refill never has to sift entries back.
 
-    Order parity with :class:`HeapEventQueue` is structural: every tier
-    orders by the same total comparator, later days only hold strictly
-    later times, and pushes into a day the calendar already passed
-    binary-insert into the current run where the comparator places
-    them.
+    The pop order is structural: every tier orders by the same total
+    comparator, later days only hold strictly later times, and pushes
+    into a day the calendar already passed binary-insert into the
+    current run where the comparator places them.
     """
 
-    def __init__(self, day_width: float = DEFAULT_DAY_WIDTH,
-                 wheel_days: int = DEFAULT_WHEEL_DAYS) -> None:
-        if day_width <= 0:
-            raise ValueError("day_width must be positive")
-        if wheel_days < 2:
-            raise ValueError("wheel_days must be at least 2")
-        self._width = day_width
-        self._wheel: list[list[Event]] = [[] for _ in range(wheel_days)]
-        self._wheel_days = wheel_days
+    def __init__(self) -> None:
+        self._wheel: list[list[Event]] = [[] for _ in range(WHEEL_DAYS)]
         self._wheel_count = 0      # entries (live + cancelled) in buckets
         self._day = 0              # the day the current run covers
         #: Descending (time, priority, seq) — the next event is last.
@@ -266,7 +144,7 @@ class CalendarEventQueue:
         event = Event(time, priority, self._seq, action, label, queue=self)
         self._seq += 1
         self._size += 1
-        day = int(time / self._width)
+        day = int(time / DAY_WIDTH)
         gap = day - self._day
         if gap <= 0:
             # Today or a day the calendar already passed (possible after
@@ -282,8 +160,8 @@ class CalendarEventQueue:
                 else:
                     hi = mid
             current.insert(lo, event)
-        elif gap < self._wheel_days:
-            self._wheel[day % self._wheel_days].append(event)
+        elif gap < WHEEL_DAYS:
+            self._wheel[day % WHEEL_DAYS].append(event)
             self._wheel_count += 1
         else:
             heapq.heappush(self._overflow, event)
@@ -353,11 +231,11 @@ class CalendarEventQueue:
         wheel_day = None
         if self._wheel_count:
             # The nearest populated bucket is at most one lap away.
-            for step in range(1, self._wheel_days + 1):
-                if self._wheel[(self._day + step) % self._wheel_days]:
+            for step in range(1, WHEEL_DAYS + 1):
+                if self._wheel[(self._day + step) % WHEEL_DAYS]:
                     wheel_day = self._day + step
                     break
-        over_day = (int(overflow[0].time / self._width)
+        over_day = (int(overflow[0].time / DAY_WIDTH)
                     if overflow else None)
         if wheel_day is None and over_day is None:
             return False
@@ -370,7 +248,7 @@ class CalendarEventQueue:
         self.refills += 1
         current = self._current
         if target == wheel_day:
-            bucket = self._wheel[target % self._wheel_days]
+            bucket = self._wheel[target % WHEEL_DAYS]
             self._wheel_count -= len(bucket)
             for event in bucket:
                 if event.cancelled:
@@ -380,7 +258,7 @@ class CalendarEventQueue:
                 else:
                     current.append(event)
             bucket.clear()
-        end = (target + 1) * self._width
+        end = (target + 1) * DAY_WIDTH
         while overflow and overflow[0].time < end:
             event = heapq.heappop(overflow)
             if event.cancelled:
@@ -439,8 +317,3 @@ class CalendarEventQueue:
         self._cancelled = 0
         self._size = 0
 
-
-#: The kernel's default queue. The calendar hybrid pops in exactly the
-#: heap's (time, priority, seq) order, so swapping the default changes
-#: no fingerprint, no replay artifact, and no test expectation.
-EventQueue = CalendarEventQueue

@@ -35,9 +35,8 @@ class Simulator:
     to one component never perturbs another component's draws.
     """
 
-    def __init__(self, seed: int = 0,
-                 queue_factory: Callable[[], Any] | None = None) -> None:
-        self._queue = (queue_factory or EventQueue)()
+    def __init__(self, seed: int = 0) -> None:
+        self._queue = EventQueue()
         self._now = 0.0
         self.rng = RandomStreams(seed)
         self._trace: list[tuple[float, str]] | None = None

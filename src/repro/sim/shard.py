@@ -26,20 +26,16 @@ Determinism contract (tested in ``tests/test_sim_shard.py``):
 
 * Within a shard, events execute in exact ``(time, priority, seq)``
   order — the same total order the single-queue kernel guarantees.
-* Mailboxes are drained at each barrier in canonical (source shard,
-  send order) order, so destination-side sequence numbers never depend
-  on which worker ran which shard first.
+* Each round runs the shards in shard-id order, and mailboxes are
+  drained at each barrier in canonical (source shard, send order)
+  order, so destination-side sequence numbers are fixed by the plan.
 * The trace fingerprint is computed **per shard** and combined in
-  shard-id order, so it is bit-identical for any worker count: the
-  ``workers`` parameter only permutes the order shards execute within
-  a round, which per-shard traces cannot observe.
+  shard-id order.
 
 Global actions (partitions, heals, topology-wide probes) do not belong
 to any one shard: :meth:`ShardedSimulator.at_global` runs them at a
 barrier, after every shard has reached their timestamp and before any
-shard passes it — a consistent cut. For real OS-level parallelism over
-shard groups see :mod:`repro.sim.parallel`, which runs whole shards in
-worker processes and exchanges only picklable mail at the barriers.
+shard passes it — a consistent cut.
 """
 
 from __future__ import annotations
@@ -104,9 +100,8 @@ class ShardPlan:
         """Assign a late-joining site to a shard (elastic topology).
 
         Joins continue the round-robin deal, so the assignment depends
-        only on the join order — never on which worker lane asked. The
-        shard set itself is fixed at construction; a join only extends
-        the site → shard mapping.
+        only on the join order. The shard set itself is fixed at
+        construction; a join only extends the site → shard mapping.
         """
         if site in self.site_shard:
             raise ValueError(f"site {site!r} already in shard plan")
@@ -121,13 +116,11 @@ class _Shard:
     __slots__ = ("id", "queue", "now", "steps", "event_end", "trace",
                  "trace_hash", "outbox", "rng")
 
-    def __init__(self, shard_id: int, master_rng: RandomStreams,
-                 queue_factory: Callable[[], Any]) -> None:
+    def __init__(self, shard_id: int, master_rng: RandomStreams) -> None:
         self.id = shard_id
-        self.queue = queue_factory()
-        #: Per-shard stream family, sub-seeded from the master so the
-        #: parallel executor can reconstruct exactly the same streams
-        #: inside a worker process (fork name = "shard:<id>").
+        self.queue = EventQueue()
+        #: Per-shard stream family, sub-seeded from the master
+        #: (fork name = "shard:<id>").
         self.rng = master_rng.fork(f"shard:{shard_id}")
         self.now = 0.0
         self.steps = 0
@@ -136,8 +129,7 @@ class _Shard:
         self.trace_hash: Any = None
         #: Cross-shard sends made while this shard executes, in send
         #: order: (dst_shard, time, priority, action, label). Drained
-        #: at the barrier in shard-id order, so the destination's seq
-        #: assignment is independent of the worker schedule.
+        #: at the barrier in shard-id order.
         self.outbox: list[tuple[int, float, int, Callable[[], Any], str]] = []
 
 
@@ -154,30 +146,17 @@ class ShardedSimulator(Simulator):
     cascades are armed from the site's own events, so site state never
     crosses shards); site-hinted calls route to the owning shard; and
     ``at_global`` runs at a barrier.
-
-    *workers* deterministically lanes shards onto worker slots (shard
-    ``i`` → worker ``i % workers``) and executes each round in
-    worker-major order. This in-process mode reproduces exactly the
-    per-shard schedules a parallel executor with that worker count
-    produces, which is what the determinism tests pin; OS-level
-    parallelism lives in :mod:`repro.sim.parallel`.
     """
 
-    def __init__(self, plan: ShardPlan, seed: int = 0, workers: int = 1,
-                 queue_factory: Callable[[], Any] | None = None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        factory = queue_factory or EventQueue
+    def __init__(self, plan: ShardPlan, seed: int = 0) -> None:
         self._plan = plan
         self._master_rng = RandomStreams(seed)
-        self._shards = [_Shard(index, self._master_rng, factory)
+        self._shards = [_Shard(index, self._master_rng)
                         for index in range(plan.shards)]
-        self._order = self._worker_major(plan.shards, workers)
-        self.workers = workers
         self._clock = 0.0      # committed global time (last barrier)
         self._horizon = 0.0    # current window's end while a round runs
         self._active: _Shard | None = None
-        self._globals = factory()   # dedicated queue for at_global events
+        self._globals = EventQueue()   # dedicated queue for at_global events
         self._global_hash: Any = None
         self.rounds = 0
         # Shared plumbing, mirroring Simulator.__init__.
@@ -185,14 +164,6 @@ class ShardedSimulator(Simulator):
         self.metrics = MetricsRegistry()
         self._trace: list[tuple[float, str]] | None = None
         self._trace_limit: int | None = None
-
-    @staticmethod
-    def _worker_major(shards: int, workers: int) -> list[int]:
-        """Execution order for one round: worker 0's lane, then 1's, …"""
-        lanes: list[list[int]] = [[] for _ in range(min(workers, shards))]
-        for shard in range(shards):
-            lanes[shard % len(lanes)].append(shard)
-        return [shard for lane in lanes for shard in lane]
 
     # -- clock + counters --------------------------------------------------
 
@@ -241,8 +212,7 @@ class ShardedSimulator(Simulator):
         """Admit a late-joining site: extend the plan's site → shard
         mapping (round-robin continuation). The shard objects are fixed
         at construction, so no queue or trace stream is created — the
-        joiner shares an existing shard's clock and fingerprint lane,
-        keeping worker-count invariance intact."""
+        joiner shares an existing shard's clock and fingerprint lane."""
         return self._plan.add_site(site)
 
     def shard_clock(self, shard: int) -> float:
@@ -389,12 +359,8 @@ class ShardedSimulator(Simulator):
         return merged
 
     def trace_fingerprint(self) -> str:
-        """Per-shard SHA-256 digests combined in canonical shard order.
-
-        Identical for every ``workers`` value by construction: each
-        shard's stream hashes only its own events, and the combination
-        order is the shard id, not the execution order.
-        """
+        """Per-shard SHA-256 digests combined in canonical shard order:
+        each shard's stream hashes only its own events."""
         if self._global_hash is None:
             raise SimulationError("tracing is not enabled")
         combined = hashlib.sha256()
@@ -486,9 +452,8 @@ class ShardedSimulator(Simulator):
     def _run_round(self, horizon: float) -> None:
         self._horizon = horizon
         self.rounds += 1
-        shards = self._shards
-        for index in self._order:
-            self._run_shard_until(shards[index], horizon)
+        for shard in self._shards:
+            self._run_shard_until(shard, horizon)
         self._deliver_mail()
         self._clock = horizon
         self._run_globals_due(horizon)

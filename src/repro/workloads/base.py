@@ -127,7 +127,7 @@ class WorkloadDriver:
         # Spec draws happen inside arrival events, which execute on the
         # site's shard when the simulation is sharded (repro.sim.shard);
         # a per-site stream keeps those draws independent of the order
-        # shards execute in, so results cannot depend on worker count.
+        # shards execute in.
         self._site_rng = {
             site: sim.rng.stream(f"{config.seed_stream}:{site}")
             for site in sites}
@@ -161,7 +161,7 @@ class WorkloadDriver:
     # *dedicated per-site stream* (``{seed_stream}:gaps:{site}``): the
     # draw happens inside the site's own shard event, so a per-site
     # stream keeps the arrival process independent of shard execution
-    # order (worker-invariant) — and identical to what
+    # order — and identical to what
     # ``install_prescheduled`` produces from the same seed.
 
     def install_open_loop(self, start: float = 0.0) -> int:

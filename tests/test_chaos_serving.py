@@ -2,8 +2,8 @@
 when arrivals flow through routed, bounded, admission-controlled
 queues — sheds never enter the system (so the progress oracle counts
 dispatches, not arrivals), slot leases reclaim crash-wiped
-transactions, and the whole path stays deterministic and
-worker-invariant on the sharded kernel."""
+transactions, and the whole path stays deterministic on the sharded
+kernel."""
 
 import pytest
 
@@ -81,16 +81,13 @@ class TestServingRunSemantics:
         undecided = result.submitted - len(result.system.results)
         assert undecided <= result.wiped_by_crash
 
-    def test_worker_invariant_on_sharded_kernel(self):
-        def fingerprint(workers):
-            config = ChaosConfig(serving="locality", shards=2,
-                                 shard_workers=workers,
-                                 partitioner="hash", replicas=2)
-            result = run_chaos(config, CRASH_PLAN, seed=21)
-            assert not result.failed, result.failures
-            return result.fingerprint
-
-        assert fingerprint(1) == fingerprint(2)
+    def test_sharded_kernel_replays_bit_for_bit(self):
+        config = ChaosConfig(serving="locality", shards=2,
+                             partitioner="hash", replicas=2)
+        first = run_chaos(config, CRASH_PLAN, seed=21)
+        second = run_chaos(config, CRASH_PLAN, seed=21)
+        assert not first.failed, first.failures
+        assert first.fingerprint == second.fingerprint
 
 
 class TestConfigPlumbing:

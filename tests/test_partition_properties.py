@@ -8,14 +8,16 @@ These pin the placement contracts docs/PARTITIONING.md relies on:
 * placement is a pure function of (item, site list, replicas) — no
   hidden state, no dependence on ``PYTHONHASHSEED``, identical across
   process boundaries (checked in a real subprocess with a different
-  hash seed, and across :func:`repro.sim.parallel.run_parallel` forked
-  workers);
+  hash seed, and equal to the map the test process computes; and a
+  :class:`Directory` rebuilt in forked worker processes resolves the
+  same owners as the parent's);
 * the directory's wire form round-trips exactly.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -31,10 +33,19 @@ from repro.core.partition import (
     make_partitioner,
     stable_hash,
 )
-from repro.sim.parallel import run_parallel
-from repro.sim.shard import ShardPlan
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+PLACEMENT_SITES = [f"S{index}" for index in range(6)]
+PLACEMENT_ITEMS = [f"item{index}" for index in range(25)]
+
+
+def _directory_owner_map(_worker_id: int) -> dict[str, list[str]]:
+    """Rebuild a consistent-hash directory from scratch and resolve
+    every item; run in forked workers and in the test process."""
+    directory = Directory(make_partitioner("consistent"), PLACEMENT_SITES,
+                          replicas=2)
+    return {item: list(directory.owners(item)) for item in PLACEMENT_ITEMS}
 
 site_names = st.lists(
     st.text(alphabet="ABCDEFGHijklmn0123456789", min_size=1, max_size=6),
@@ -120,7 +131,8 @@ class TestPlacementIsPure:
     def test_owners_identical_across_hash_seeds(self, name):
         """The check PYTHONHASHSEED randomization would break if any
         placement path used builtin ``hash``: compute the same owner
-        map in subprocesses pinned to two different hash seeds."""
+        map in subprocesses pinned to two different hash seeds, and in
+        this process."""
         script = (
             "import json, sys\n"
             "from repro.core.partition import make_partitioner\n"
@@ -128,6 +140,10 @@ class TestPlacementIsPure:
             "p = make_partitioner(sys.argv[1])\n"
             "print(json.dumps({f'item{i}': p.owners(f'item{i}', sites, 2)"
             " for i in range(40)}))\n")
+        partitioner = make_partitioner(name)
+        sites = tuple(f"S{i}" for i in range(7))
+        here = {f"item{i}": partitioner.owners(f"item{i}", sites, 2)
+                for i in range(40)}
         outputs = []
         for hash_seed in ("0", "12345"):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed,
@@ -138,34 +154,25 @@ class TestPlacementIsPure:
             outputs.append(json.loads(proc.stdout))
         assert outputs[0] == outputs[1]
         assert outputs[0]  # the map is non-trivial
+        assert outputs[0] == {item: list(owners)
+                              for item, owners in here.items()}
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_owners_identical_across_forked_workers(self, workers):
-        """Each forked shard worker re-derives the same placement map
-        the parent computes — the sharded kernel's shard programs may
-        resolve the directory independently on any process boundary."""
-        sites = [f"S{index}" for index in range(6)]
-        items = [f"item{index}" for index in range(25)]
-
-        class PlacementProgram:
-            def build(self, sim, shard_id, shard_sites, send):
-                return lambda payload: None
-
-            def collect(self, sim, shard_id):
-                directory = Directory(make_partitioner("consistent"),
-                                      sites, replicas=2)
-                return {item: list(directory.owners(item))
-                        for item in items}
-
-        parent = Directory(make_partitioner("consistent"), sites,
-                           replicas=2)
-        expected = {item: list(parent.owners(item)) for item in items}
-        plan = ShardPlan.round_robin(sites, 2, lookahead=1.0)
-        result = run_parallel(plan, PlacementProgram(), seed=3,
-                              workers=workers)
-        assert len(result.collected) == 2
-        for shard_map in result.collected:
-            assert shard_map == expected
+        """Each forked worker process re-derives the same placement map
+        the parent computes: a directory rebuilt on any process
+        boundary resolves owners identically. ``workers=0`` resolves
+        both copies in this process."""
+        expected = _directory_owner_map(-1)
+        if workers == 0:
+            maps = [_directory_owner_map(worker) for worker in range(2)]
+        else:
+            context = multiprocessing.get_context("fork")
+            with context.Pool(workers) as pool:
+                maps = pool.map(_directory_owner_map, range(2))
+        assert len(maps) == 2
+        for worker_map in maps:
+            assert worker_map == expected
 
 
 class TestDirectoryWireForm:

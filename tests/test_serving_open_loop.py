@@ -1,16 +1,13 @@
-"""Open-loop arrivals: fingerprint equality and worker invariance.
+"""Open-loop arrivals: fingerprint equality with prescheduled arrivals.
 
 The open-loop driver chains per-site timers lazily instead of
 pre-materializing the horizon, but it must describe the *same* arrival
 process: same per-site gap streams, same specs, same times. These
-tests pin that equivalence and the sharded-kernel worker invariance
-of the whole serving path.
+tests pin that equivalence, on the classic and the sharded kernel.
 """
 
 from repro.core.domain import CounterDomain
 from repro.core.system import DvPSystem, SystemConfig
-from repro.metrics.collector import Collector
-from repro.serving import ServingConfig, ServingFrontend
 from repro.workloads.airline import AirlineWorkload
 from repro.workloads.base import OpMix, WorkloadConfig, WorkloadDriver
 
@@ -18,11 +15,9 @@ ITEMS = [f"flight{index}" for index in range(8)]
 
 
 def run_driver(mode, seed=7, sites_n=4, rate=0.4, duration=40.0,
-               shards=1, shard_workers=1):
+               shards=1):
     sites = [f"S{index}" for index in range(sites_n)]
-    system = DvPSystem(SystemConfig(
-        sites=sites, seed=seed, shards=shards,
-        shard_workers=shard_workers))
+    system = DvPSystem(SystemConfig(sites=sites, seed=seed, shards=shards))
     for item in ITEMS:
         system.add_item(item, CounterDomain(), total=1000)
     config = WorkloadConfig(arrival_rate=rate, duration=duration,
@@ -60,46 +55,3 @@ class TestOpenLoopEquivalence:
         prescheduled = run_driver("prescheduled", shards=2)
         assert fingerprint(open_loop) == fingerprint(prescheduled)
 
-
-def run_serving(shard_workers, router="least-queue", seed=13):
-    sites = [f"S{index}" for index in range(8)]
-    system = DvPSystem(SystemConfig(
-        sites=sites, seed=seed, shards=4, shard_workers=shard_workers,
-        partitioner="hash", replicas=2))
-    for item in ITEMS:
-        system.add_item(item, CounterDomain(), total=10_000)
-    config = WorkloadConfig(arrival_rate=0.8, duration=40.0,
-                            zipf_skew=0.6, work=0.5,
-                            mix=OpMix(reserve=0.7, cancel=0.3))
-    collector = Collector()
-    frontend = ServingFrontend(system, ServingConfig(
-        router=router, max_inflight=2, max_depth=8,
-        board_period=2.0), collector)
-    driver = WorkloadDriver(system.sim, frontend, sites,
-                            AirlineWorkload(ITEMS, config), config,
-                            collector)
-    frontend.start()
-    driver.install_open_loop()
-    system.sim.run_until(40.0)
-    frontend.stop()
-    system.sim.run_until(120.0)
-    system.auditor.assert_ok()
-    samples = sorted((s.site, round(s.arrived_at, 9),
-                      round(s.dispatched_at, 9),
-                      round(s.finished_at, 9), s.committed)
-                     for s in frontend.samples)
-    sheds = sorted((o.site, round(o.at, 9), o.reason)
-                   for o in frontend.overloads)
-    return samples, sheds, collector.submitted
-
-
-class TestServingWorkerInvariance:
-    def test_full_serving_path_is_worker_invariant(self):
-        one_worker = run_serving(shard_workers=1)
-        two_workers = run_serving(shard_workers=2)
-        assert one_worker == two_workers
-
-    def test_locality_router_is_worker_invariant(self):
-        one_worker = run_serving(shard_workers=1, router="locality")
-        two_workers = run_serving(shard_workers=2, router="locality")
-        assert one_worker == two_workers

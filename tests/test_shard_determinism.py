@@ -1,16 +1,18 @@
-"""End-to-end determinism of the sharded kernel: worker-count-invariant
-fingerprints and outcomes on the harness experiments' scenarios and
-across chaos exploration.
+"""End-to-end determinism of the sharded kernel: replayable
+fingerprints, and outcomes equal to the classic kernel's, on the
+harness experiments' scenarios and across chaos exploration.
 
-These are the acceptance tests for the sharding contract: ``workers``
-may only change which OS schedule executes the shards, never anything
-any shard (or oracle) can observe.
+These are the acceptance tests for the sharding contract: splitting a
+run into shards may not change anything an experiment or an oracle
+measures, and the same run must replay bit for bit.
 """
 
-from dataclasses import replace
+import json
+import pathlib
 
 import pytest
 
+from repro.chaos.artifact import TRACE_TAIL_EVENTS, ReproArtifact
 from repro.chaos.explore import explore
 from repro.chaos.runner import ChaosConfig, run_chaos
 from repro.chaos.plan import FaultPlan
@@ -24,43 +26,34 @@ from repro.workloads.base import WorkloadConfig, WorkloadDriver
 from repro.workloads.inventory import InventoryWorkload
 
 
-def _e01_params(shards, workers):
+REPRO_DIR = pathlib.Path(__file__).parent / "repros"
+
+
+def _e01_params(shards):
     return e01.Params(partition_durations=[20.0], arrival_rate=0.08,
-                      shards=shards, shard_workers=workers)
+                      shards=shards)
 
 
-def _e06_params(shards, workers):
-    return e06.Params(duration=80.0, rebalance_sellers=4,
-                      shards=shards, shard_workers=workers)
+def _e06_params(shards):
+    return e06.Params(duration=80.0, rebalance_sellers=4, shards=shards)
 
 
 class TestExperimentOutcomes:
-    def test_e01_dvp_stats_worker_invariant(self):
-        baseline = e01._run_dvp(_e01_params(2, 1), 20.0)
-        assert baseline["decided"] > 0
-        for workers in (2, 4):
-            assert e01._run_dvp(_e01_params(2, workers), 20.0) == baseline
-
     def test_e01_dvp_stats_match_classic_kernel(self):
         """Sharding may not change what the experiment measures."""
-        classic = e01._run_dvp(_e01_params(1, 1), 20.0)
-        sharded = e01._run_dvp(_e01_params(2, 1), 20.0)
+        classic = e01._run_dvp(_e01_params(1), 20.0)
+        sharded = e01._run_dvp(_e01_params(2), 20.0)
+        assert classic["decided"] > 0
         assert sharded == classic
-
-    def test_e06_rebalance_stats_worker_invariant(self):
-        baseline = e06._run_rebalance(_e06_params(2, 1), "demand-weighted")
-        assert baseline["decided"] > 0
-        for workers in (2, 4):
-            assert e06._run_rebalance(_e06_params(2, workers),
-                                      "demand-weighted") == baseline
 
     def test_e06_rebalance_stats_match_classic_kernel(self):
-        classic = e06._run_rebalance(_e06_params(1, 1), "static-rr")
-        sharded = e06._run_rebalance(_e06_params(3, 1), "static-rr")
+        classic = e06._run_rebalance(_e06_params(1), "static-rr")
+        sharded = e06._run_rebalance(_e06_params(3), "static-rr")
+        assert classic["decided"] > 0
         assert sharded == classic
 
 
-def _e01_style_fingerprint(shards, workers, seed=11):
+def _e01_style_fingerprint(shards, seed=11):
     """The E1 scenario shape — partitioned workload plus victim — run
     with tracing, so the fingerprint contract is tested on a full
     protocol execution (net, Vm retransmission, timeouts, partitions).
@@ -69,7 +62,7 @@ def _e01_style_fingerprint(shards, workers, seed=11):
     system = DvPSystem(SystemConfig(
         sites=sites, seed=seed, txn_timeout=15.0,
         link=LinkConfig(base_delay=2.0, jitter=1.0),
-        shards=shards, shard_workers=workers))
+        shards=shards))
     system.sim.enable_trace(limit=0)
     source = e01.CrossSiteTransfers(sites)
     for site in sites:
@@ -94,13 +87,13 @@ def _e01_style_fingerprint(shards, workers, seed=11):
             len(system.committed()), len(system.aborted()))
 
 
-def _e06_style_fingerprint(shards, workers, seed=67):
+def _e06_style_fingerprint(shards, seed=67):
     """The E6 hot-spot shape: one counter partitioned over all sites."""
     sites = [f"S{index}" for index in range(6)]
     system = DvPSystem(SystemConfig(
         sites=sites, seed=seed, txn_timeout=12.0,
         link=LinkConfig(base_delay=2.0),
-        shards=shards, shard_workers=workers))
+        shards=shards))
     system.sim.enable_trace(limit=0)
     config = WorkloadConfig(arrival_rate=0.08, duration=60.0,
                             amount_low=1, amount_high=2)
@@ -115,27 +108,25 @@ def _e06_style_fingerprint(shards, workers, seed=67):
 
 class TestScenarioFingerprints:
     @pytest.mark.parametrize("shards", [2, 4])
-    def test_e01_scenario_fingerprint_worker_invariant(self, shards):
-        baseline = _e01_style_fingerprint(shards, 1)
-        assert baseline[2] + baseline[3] > 0   # something was decided
-        for workers in (2, 4, 7):
-            assert _e01_style_fingerprint(shards, workers) == baseline
+    def test_e01_scenario_replays_bit_for_bit(self, shards):
+        first = _e01_style_fingerprint(shards)
+        assert first[2] + first[3] > 0   # something was decided
+        assert _e01_style_fingerprint(shards) == first
 
-    def test_e06_scenario_fingerprint_worker_invariant(self):
-        baseline = _e06_style_fingerprint(3, 1)
-        assert baseline[2] > 0
-        for workers in (2, 4):
-            assert _e06_style_fingerprint(3, workers) == baseline
+    def test_e06_scenario_replays_bit_for_bit(self):
+        first = _e06_style_fingerprint(3)
+        assert first[2] > 0
+        assert _e06_style_fingerprint(3) == first
 
     def test_e01_outcomes_match_classic_kernel(self):
         """Fingerprints differ between shard counts by construction
         (per-shard streams); observable protocol outcomes may not."""
-        classic = _e01_style_fingerprint(1, 1)
-        sharded = _e01_style_fingerprint(4, 1)
+        classic = _e01_style_fingerprint(1)
+        sharded = _e01_style_fingerprint(4)
         assert sharded[2:] == classic[2:]
 
 
-def _reshard_style_fingerprint(shards, workers, seed=29):
+def _reshard_style_fingerprint(shards, seed=29):
     """The E13 scenario shape: a consistent-hash placement with a site
     join and a decommission mid-run, under workload. Migration ticks
     run as global (barrier) events that ship cross-shard Vm, so this
@@ -151,8 +142,7 @@ def _reshard_style_fingerprint(shards, workers, seed=29):
     system = DvPSystem(SystemConfig(
         sites=sites, seed=seed, txn_timeout=12.0,
         link=LinkConfig(base_delay=2.0, jitter=1.0),
-        shards=shards, shard_workers=workers,
-        partitioner="consistent", replicas=2))
+        shards=shards, partitioner="consistent", replicas=2))
     system.sim.enable_trace(limit=0)
     config = WorkloadConfig(arrival_rate=0.08, duration=80.0,
                             amount_low=1, amount_high=2)
@@ -187,63 +177,72 @@ class TestReshardDeterminism:
     """Satellite of docs/PARTITIONING.md: topology changes mid-run may
     not cost any replay determinism."""
 
-    def test_reshard_scenario_fingerprint_worker_invariant(self):
-        baseline = _reshard_style_fingerprint(2, 1)
-        assert baseline[2] > 0          # transactions committed
-        assert baseline[4] > 0          # migration Vm actually shipped
-        assert baseline[5] == 2         # join + leave = two epochs
-        for workers in (2, 4):
-            assert _reshard_style_fingerprint(2, workers) == baseline
-
     def test_reshard_outcomes_match_classic_kernel(self):
         """Fingerprints differ between shard counts by construction
         (per-shard streams); commits, aborts, migration ships, and the
         final epoch may not."""
-        classic = _reshard_style_fingerprint(1, 1)
-        sharded = _reshard_style_fingerprint(3, 1)
+        classic = _reshard_style_fingerprint(1)
+        sharded = _reshard_style_fingerprint(3)
         assert sharded[2:] == classic[2:]
 
     def test_reshard_scenario_replays_bit_for_bit(self):
-        assert _reshard_style_fingerprint(2, 2) == \
-            _reshard_style_fingerprint(2, 2)
+        first = _reshard_style_fingerprint(2)
+        assert first[2] > 0          # transactions committed
+        assert first[4] > 0          # migration Vm actually shipped
+        assert first[5] == 2         # join + leave = two epochs
+        assert _reshard_style_fingerprint(2) == first
 
 
 class TestChaosExploration:
-    """The chaos engine's replay determinism, sharded: every run of a
-    budget-100 exploration must fingerprint identically no matter how
-    many worker lanes execute the shards."""
+    """The chaos engine's replay determinism, sharded: two budget-100
+    explorations of one seed run the same plans to the same
+    fingerprints, and no oracle fails in either."""
 
     CONFIG = ChaosConfig(sites=4, items=2, txns=16, duration=40.0,
                          settle=100.0, shards=2)
 
     @pytest.mark.parametrize("seed", [7, 19, 23])
-    def test_budget_100_exploration_worker_invariant(self, seed):
-        def fingerprints(workers):
-            config = replace(self.CONFIG, shard_workers=workers)
+    def test_budget_100_sharded_exploration_replays(self, seed):
+        def exploration():
             prints = []
-            report = explore(config, budget=100, master_seed=seed,
+            report = explore(self.CONFIG, budget=100, master_seed=seed,
                              on_run=lambda index, result:
                              prints.append(result.fingerprint))
             return prints, report
 
-        base_prints, base_report = fingerprints(1)
-        assert len(base_prints) == 100
-        for workers in (2, 4):
-            prints, report = fingerprints(workers)
-            assert prints == base_prints
-            assert len(report.failures) == len(base_report.failures)
+        first_prints, first = exploration()
+        second_prints, second = exploration()
+        assert len(first_prints) == 100
+        assert second_prints == first_prints
+        assert second.digest() == first.digest()
+        assert first.ok and second.ok
 
     def test_sharded_run_replays_bit_for_bit(self):
-        config = replace(self.CONFIG, shard_workers=3)
-        first = run_chaos(config, FaultPlan(()), seed=7)
-        second = run_chaos(config, FaultPlan(()), seed=7)
+        first = run_chaos(self.CONFIG, FaultPlan(()), seed=7)
+        second = run_chaos(self.CONFIG, FaultPlan(()), seed=7)
         assert first.fingerprint == second.fingerprint
         assert not first.failed
 
     def test_old_artifact_dicts_load_with_shard_defaults(self):
-        """PR 2-5 recorded artifacts carry no shard keys; they must
-        load as shards=1 (the classic kernel, byte-for-byte)."""
+        """Artifacts recorded before the sharded kernel carry no shard
+        keys; they must load as shards=1 (the classic kernel,
+        byte-for-byte)."""
         data = ChaosConfig().to_dict()
-        del data["shards"], data["shard_workers"]
+        del data["shards"]
         config = ChaosConfig.from_dict(data)
-        assert config.shards == 1 and config.shard_workers == 1
+        assert config.shards == 1
+
+    def test_artifacts_with_a_worker_count_replay(self):
+        """Artifacts recorded while the sharded kernel took a
+        worker-lane count carry a "shard_workers" key. They load
+        without it and replay to their recorded verdict and tail."""
+        paths = [path for path in sorted(REPRO_DIR.glob("*.json"))
+                 if "shard_workers" in
+                 json.loads(path.read_text())["config"]]
+        assert paths, "no committed artifact carries shard_workers"
+        for path in paths:
+            artifact = ReproArtifact.load(path)
+            result = artifact.replay(trace_limit=TRACE_TAIL_EVENTS)
+            assert result.failed_oracles == \
+                tuple(sorted(artifact.failures)), path.name
+            assert result.trace_tail == artifact.trace_tail, path.name

@@ -240,14 +240,6 @@ class TestCollector:
         assert len(window.results) == 1
         assert window.lost == 1
 
-    def test_window_without_timestamps_keeps_legacy_behaviour(self):
-        collector = Collector()
-        collector.on_submit()  # no timestamp recorded
-        collector.on_result(make_result(1.0, submitted=5.0))
-        window = collector.in_window(0.0, 10.0)
-        assert window.submitted == 1
-        assert window.lost == 0
-
     def test_throughput(self):
         collector = Collector()
         for _ in range(10):
